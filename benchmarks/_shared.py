@@ -9,6 +9,7 @@ computation of each artifact.
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
 
 OUTPUT_DIR = Path(__file__).parent / "output"
@@ -29,3 +30,14 @@ def once(benchmark, fn):
     full campaign) are timed once; fast paths use plain ``benchmark``.
     """
     return benchmark.pedantic(fn, rounds=1, iterations=1)
+
+
+def best_of(fn, rounds=5):
+    """Best-of-N wall time for ``fn``: (seconds, last return value)."""
+    best = float("inf")
+    value = None
+    for _ in range(rounds):
+        start = time.perf_counter()
+        value = fn()
+        best = min(best, time.perf_counter() - start)
+    return best, value

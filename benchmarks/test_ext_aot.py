@@ -13,9 +13,7 @@ has answered its first request.
 
 from __future__ import annotations
 
-import time
-
-from _shared import emit, once
+from _shared import best_of, emit, once
 
 from repro import core
 from repro.core.planopt import compile_store
@@ -30,17 +28,6 @@ from repro.zoo import build as build_network
 ROSTER = ("densenet121", "densenet161", "densenet169",
           "densenet201", "resnet101", "resnet152")
 BATCH_SIZE = 64
-
-
-def _best_of(fn, rounds=5):
-    """Best-of-N wall time for ``fn``: (seconds, last return value)."""
-    best = float("inf")
-    value = None
-    for _ in range(rounds):
-        start = time.perf_counter()
-        value = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, value
 
 
 def test_warm_store_speeds_up_cold_start(benchmark, tmp_path_factory):
@@ -66,9 +53,9 @@ def test_warm_store_speeds_up_cold_start(benchmark, tmp_path_factory):
                                  "batch_size": BATCH_SIZE})
                 for name in ROSTER]
 
-    cold_s, cold = _best_of(lambda: first_predictions(bare_dir))
+    cold_s, cold = best_of(lambda: first_predictions(bare_dir))
     warm_s, warm = once(
-        benchmark, lambda: _best_of(lambda: first_predictions(aot_dir)))
+        benchmark, lambda: best_of(lambda: first_predictions(aot_dir)))
     speedup = cold_s / warm_s
 
     text = (f"cold start to first /predict on {len(ROSTER)} deep "

@@ -11,9 +11,7 @@ agreement in both cases.
 
 from __future__ import annotations
 
-import time
-
-from _shared import emit, once
+from _shared import best_of, emit, once
 
 from repro.gpu import IGKW_TRAIN_GPUS, gpu
 from repro.studies import context
@@ -24,17 +22,6 @@ BATCH_SIZE = 64
 
 #: dense design-space grid: 121 points over the sweep's 200-1400 GB/s
 DENSE_BANDWIDTHS = tuple(200.0 + i * 10.0 for i in range(121))
-
-
-def _best_of(fn, rounds=5):
-    """Best-of-N wall time for ``fn``: (seconds, last return value)."""
-    best = float("inf")
-    value = None
-    for _ in range(rounds):
-        start = time.perf_counter()
-        value = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, value
 
 
 def _sweep_case(plan, base, bandwidths):
@@ -56,8 +43,8 @@ def test_evaluate_many_speeds_up_dense_grid(benchmark):
 
     looped, vectorised = _sweep_case(plan, base, DENSE_BANDWIDTHS)
     plan.evaluate_many([base])                    # warm the lowering
-    looped_s, looped_times = _best_of(looped)
-    batch_s, batch_times = once(benchmark, lambda: _best_of(vectorised))
+    looped_s, looped_times = best_of(looped)
+    batch_s, batch_times = once(benchmark, lambda: best_of(vectorised))
     speedup = looped_s / batch_s
 
     text = (f"{len(DENSE_BANDWIDTHS)}-point dense bandwidth grid, "
@@ -80,8 +67,8 @@ def test_evaluate_many_speeds_up_paper_sweep():
 
     looped, vectorised = _sweep_case(plan, base, DEFAULT_BANDWIDTHS)
     plan.evaluate_many([base])                    # warm the lowering
-    looped_s, looped_times = _best_of(looped)
-    batch_s, batch_times = _best_of(vectorised)
+    looped_s, looped_times = best_of(looped)
+    batch_s, batch_times = best_of(vectorised)
     speedup = looped_s / batch_s
 
     text = (f"{len(DEFAULT_BANDWIDTHS)}-point Figure-15/16 sweep, "

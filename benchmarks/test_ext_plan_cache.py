@@ -11,9 +11,7 @@ effect through the service's plan cache.
 
 from __future__ import annotations
 
-import time
-
-from _shared import emit, once
+from _shared import best_of, emit, once
 
 from repro import core
 from repro.gpu import IGKW_TRAIN_GPUS, gpu
@@ -23,17 +21,6 @@ from repro.studies.bandwidth_sweep import DEFAULT_BANDWIDTHS
 from repro.zoo import resnet50
 
 BATCH_SIZE = 64
-
-
-def _best_of(fn, rounds=5):
-    """Best-of-N wall time for ``fn``: (seconds, last return value)."""
-    best = float("inf")
-    value = None
-    for _ in range(rounds):
-        start = time.perf_counter()
-        value = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, value
 
 
 def test_plan_reuse_speeds_up_bandwidth_sweep(benchmark):
@@ -51,8 +38,8 @@ def test_plan_reuse_speeds_up_bandwidth_sweep(benchmark):
         return [plan.evaluate(gpu=base.with_bandwidth(b))
                 for b in DEFAULT_BANDWIDTHS]
 
-    direct_s, direct_times = _best_of(direct)
-    planned_s, planned_times = once(benchmark, lambda: _best_of(planned))
+    direct_s, direct_times = best_of(direct)
+    planned_s, planned_times = once(benchmark, lambda: best_of(planned))
     speedup = direct_s / planned_s
 
     text = (f"13-point bandwidth sweep, resnet50 @ bs{BATCH_SIZE} on "
@@ -82,7 +69,7 @@ def test_service_plan_cache_amortises_requests(tmp_path):
         return service
 
     # warm once for parity with cold, then best-of for both shapes
-    cold_s, service = _best_of(serve_all, rounds=3)
+    cold_s, service = best_of(serve_all, rounds=3)
     stats = service.plans.stats()
     assert stats["misses"] == 1
     assert stats["hits"] == len(DEFAULT_BANDWIDTHS) - 1
@@ -91,7 +78,7 @@ def test_service_plan_cache_amortises_requests(tmp_path):
         for payload in payloads:
             service.predict(payload)
 
-    warm_s, _ = _best_of(replay, rounds=3)
+    warm_s, _ = best_of(replay, rounds=3)
     text = (f"13 bandwidth-varied /predict requests (best of 3):\n"
             f"  cold service (1 compile): {cold_s * 1e3:8.2f} ms\n"
             f"  warm replay (result hits): {warm_s * 1e3:8.2f} ms\n"

@@ -4,8 +4,8 @@ Two complementary halves, both surfaced as ``repro check`` and gated in CI:
 
 - :mod:`repro.analysis_checks.engine` + :mod:`repro.analysis_checks.rules`
   — a small stdlib-``ast`` rule engine with codebase-tuned lint rules
-  (lock discipline in the service layer, float equality in regression
-  math, ``assert``-as-guard, mutable defaults, overbroad ``except``).
+  (float equality in regression math, ``assert``-as-guard, mutable
+  defaults, overbroad ``except``).
   Findings are suppressed per line with ``# repro: noqa[RULE]``.
 - :mod:`repro.analysis_checks.contracts` — a domain contract checker that
   walks every zoo network's layer graph and cross-checks the invariants
@@ -17,8 +17,8 @@ On top of the per-file half sits a **whole-program pass**
 (:mod:`repro.analysis_checks.index`): one parse of the tree building a
 symbol table and call graph, consumed by the cross-module analyzers —
 :mod:`.units` (UN001 unit-dimension checking), :mod:`.races` (RC100
-flow-sensitive lock/race detection, superseding RC001 on the classes it
-covers), and :mod:`.surface` (DC001 dead/drifting surface). Their
+flow-sensitive lock discipline for the threaded service layer), and
+:mod:`.surface` (DC001 dead/drifting surface). Their
 accepted debt is pinned by :mod:`.baseline` so only *new* findings
 block CI.
 """

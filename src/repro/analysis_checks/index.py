@@ -448,30 +448,24 @@ def make_finding(module: ModuleInfo, node: ast.AST, rule: str, severity,
 def run_program_checks(paths: Sequence,
                        reference_paths: Sequence = (),
                        only: Optional[Iterable[str]] = None
-                       ) -> Tuple[List[Finding], Set[Tuple[str, str]],
-                                  Dict[str, int]]:
+                       ) -> Tuple[List[Finding], Dict[str, int]]:
     """Build the index once and run every requested analyzer over it.
 
-    Returns ``(findings, rc100_covered_classes, index_stats)`` where the
-    covered set holds ``(path, class name)`` pairs whose lock discipline
-    RC100 now checks flow-sensitively — the caller drops the syntactic
-    RC001 findings for those classes (RC100 supersedes RC001 there).
+    Returns ``(findings, index_stats)``.
     """
     wanted = set(PROGRAM_RULES if only is None else only) & \
         set(PROGRAM_RULES)
     if not wanted:
-        return [], set(), {}
+        return [], {}
     index = ProjectIndex.build(paths, reference_paths=reference_paths)
     findings: List[Finding] = []
-    covered: Set[Tuple[str, str]] = set()
     if "UN001" in wanted:
         from repro.analysis_checks.units import check_units
         findings.extend(check_units(index))
     if "RC100" in wanted:
         from repro.analysis_checks.races import check_races
-        race_findings, covered = check_races(index)
-        findings.extend(race_findings)
+        findings.extend(check_races(index))
     if "DC001" in wanted:
         from repro.analysis_checks.surface import check_surface
         findings.extend(check_surface(index))
-    return findings, covered, index.stats()
+    return findings, index.stats()

@@ -1,14 +1,17 @@
 """RC100: flow-sensitive lock/shared-state race detection.
 
-The syntactic RC001 rule flags *mutations* of ``self._*`` outside
-``with self._lock:`` — but it cannot see unlocked **reads** of guarded
-state, and it cannot follow a ``_``-helper that only some callers wrap
-in the lock. RC100 closes both gaps using the whole-program index:
+The repo's one lock-discipline analyzer. It runs on the whole-program
+index because a per-file pass cannot follow a ``_``-helper that only
+some callers wrap in the lock, and it sees unlocked **reads** of
+guarded state as well as writes:
 
 1. **Guarded-field discovery.** For every class that creates a
-   ``self._lock`` (``threading.Lock``/``RLock``), collect the private
-   fields *written* inside ``with self._lock:`` blocks anywhere in the
-   class. Those fields are the lock's protected state.
+   ``self._lock`` (``threading.Lock``/``RLock``), the lock's protected
+   state is every private field written or mutated inside a
+   ``with self._lock:`` block, plus every private field that any
+   method other than ``__init__`` writes or mutates. A field only
+   ``__init__`` assigns is fixed before the object is shared and needs
+   no lock.
 2. **Per-method access classification.** Walk each method tracking
    whether the lock is held, recording every read, write, and in-place
    mutation of a guarded field along with the held/not-held flag at
@@ -18,8 +21,7 @@ in the lock. RC100 closes both gaps using the whole-program index:
    if it is public (including dunders), *escapes* as a value (e.g.
    ``Thread(target=self._run)``), or is called lock-free from another
    method that can itself run without the lock. This is a fixpoint
-   over the intra-class call edges — the piece per-file analysis
-   fundamentally cannot do for ``_``-helpers.
+   over the intra-class call edges.
 4. **Reporting.** Any not-held access to a guarded field inside a
    method that can run without the lock is a finding. ``__init__`` is
    exempt (construction happens-before publication), as are helpers
@@ -32,15 +34,12 @@ in the lock. RC100 closes both gaps using the whole-program index:
    lock-free by design, and flagging them would train people to ignore
    the rule. Reassigning the field anywhere outside those constructors
    revokes the exemption.
-
-Classes RC100 analyzes are returned as a covered set; the check driver
-drops syntactic RC001 findings for them (RC100 supersedes RC001 there).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis_checks.findings import Finding, Severity
 from repro.analysis_checks.index import (
@@ -50,12 +49,6 @@ from repro.analysis_checks.index import (
     _attr_chain,
     make_finding,
 )
-from repro.analysis_checks.rules import (
-    LockDisciplineRule,
-    _MUTATORS,
-    _is_self_lock,
-    _self_private_root,
-)
 
 RULE_ID = "RC100"
 SEVERITY = Severity.ERROR
@@ -64,7 +57,52 @@ SEVERITY = Severity.ERROR
 _READ, _WRITE, _MUTATE = 0, 1, 2
 _VERBS = {_READ: "reads", _WRITE: "writes", _MUTATE: "mutates"}
 
-_child_bodies = LockDisciplineRule._child_bodies
+#: method names that mutate their receiver in place.
+_MUTATORS = frozenset({
+    "append", "appendleft", "add", "clear", "discard", "extend", "insert",
+    "move_to_end", "pop", "popitem", "popleft", "remove", "setdefault",
+    "sort", "update",
+})
+
+
+def _self_private_root(node: ast.AST) -> Optional[str]:
+    """The ``_name`` when ``node`` reaches state rooted at ``self._name``.
+
+    Walks value chains like ``self._models[name].reloads`` down to the
+    innermost ``self._models`` attribute access; returns None for
+    anything not rooted at a private attribute of ``self``.
+    """
+    while True:
+        if isinstance(node, ast.Attribute):
+            if (isinstance(node.value, ast.Name)
+                    and node.value.id == "self"):
+                attr = node.attr
+                if attr.startswith("_") and not attr.startswith("__"):
+                    return attr
+                return None
+            node = node.value
+        elif isinstance(node, ast.Subscript):
+            node = node.value
+        else:
+            return None
+
+
+def _is_self_lock(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+            and node.attr == "_lock")
+
+
+def _child_bodies(stmt: ast.stmt) -> Iterator[List[ast.stmt]]:
+    for field in ("body", "orelse", "finalbody"):
+        value = getattr(stmt, field, None)
+        if isinstance(value, list) and value \
+                and isinstance(value[0], ast.stmt):
+            yield value
+    for handler in getattr(stmt, "handlers", []):
+        yield handler.body
+
 
 #: Constructors whose instances synchronise internally. A private field
 #: that is only ever assigned a call to one of these names is a stable
@@ -78,6 +116,15 @@ _ATOMIC_CONSTRUCTORS = frozenset({
     # repro's own internally-locked service types
     "MetricsRegistry", "PredictionCache",
 })
+
+
+def _write_targets(stmt: ast.stmt) -> List[ast.expr]:
+    """The expressions ``stmt`` assigns, rebinds or deletes."""
+    if isinstance(stmt, (ast.Assign, ast.Delete)):
+        return list(stmt.targets)
+    if isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
+        return [stmt.target]
+    return []
 
 
 def _atomic_fields(cls: ClassInfo) -> Set[str]:
@@ -156,33 +203,30 @@ class _ClassRaces:
 
     def _discover_guarded(self) -> None:
         for name, info in self.cls.methods.items():
-            self._guarded_walk(info.node.body, locked=False)
+            # outside __init__ every write is shared-state mutation;
+            # inside it only writes made under the lock count
+            self._guarded_walk(info.node.body, collect=name != "__init__")
         # fields that are stable handles to internally-synchronised
         # objects (queues, events, metric registries) need no lock
         self.guarded -= _atomic_fields(self.cls)
 
     def _guarded_walk(self, statements: List[ast.stmt],
-                      locked: bool) -> None:
+                      collect: bool) -> None:
         for stmt in statements:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                holds = locked or any(_is_self_lock(item.context_expr)
-                                      for item in stmt.items)
+                holds = collect or any(_is_self_lock(item.context_expr)
+                                       for item in stmt.items)
                 self._guarded_walk(stmt.body, holds)
                 continue
-            if locked:
+            if collect:
                 self._collect_writes(stmt)
             for body in _child_bodies(stmt):
-                self._guarded_walk(body, locked)
+                self._guarded_walk(body, collect)
 
     def _collect_writes(self, stmt: ast.stmt) -> None:
-        targets: List[ast.AST] = []
-        if isinstance(stmt, ast.Assign):
-            targets = list(stmt.targets)
-        elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
-            targets = [stmt.target]
-        for target in targets:
+        for target in _write_targets(stmt):
             root = _self_private_root(target)
             if root is not None and root != "_lock":
                 self.guarded.add(root)
@@ -223,12 +267,7 @@ class _ClassRaces:
 
     def _scan_statement(self, stmt: ast.stmt, locked: bool) -> None:
         consumed: Set[int] = set()
-        targets: List[ast.AST] = []
-        if isinstance(stmt, ast.Assign):
-            targets = list(stmt.targets)
-        elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
-            targets = [stmt.target]
-        for target in targets:
+        for target in _write_targets(stmt):
             root = _self_private_root(target)
             if root in self.guarded:
                 self._record(root, _WRITE, locked, stmt)
@@ -337,17 +376,9 @@ class _ClassRaces:
         return findings
 
 
-def check_races(index: ProjectIndex
-                ) -> Tuple[List[Finding], Set[Tuple[str, str]]]:
-    """All RC100 findings plus the (path, class) pairs RC100 covers.
-
-    A class is *covered* (and its RC001 findings dropped) only when the
-    flow-sensitive pass actually discovered lock-guarded fields — a
-    class that owns a lock but never locks anything keeps the blunt
-    syntactic rule, which is the only signal left there.
-    """
+def check_races(index: ProjectIndex) -> List[Finding]:
+    """All RC100 findings over every lock-owning class in the index."""
     findings: List[Finding] = []
-    covered: Set[Tuple[str, str]] = set()
     for qualname in sorted(index.classes):
         cls = index.classes[qualname]
         if not _creates_lock(cls):
@@ -355,9 +386,6 @@ def check_races(index: ProjectIndex
         module = index.modules.get(cls.module)
         if module is None:
             continue
-        analysis = _ClassRaces(module, cls)
-        findings.extend(analysis.run())
-        if analysis.guarded:
-            covered.add((cls.path, cls.name))
+        findings.extend(_ClassRaces(module, cls).run())
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.message))
-    return findings, covered
+    return findings

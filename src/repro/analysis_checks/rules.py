@@ -1,9 +1,5 @@
 """Built-in lint rules, tuned to this codebase's failure modes.
 
-- RC001 — lock discipline: in any class that creates ``self._lock``,
-  private state (``self._*``) must only be mutated inside a
-  ``with self._lock:`` block. Catches races in the threaded service
-  layer (server, cache, registry, metrics).
 - FP001 — float literal ``==``/``!=``: exact comparison against a float
   literal in regression math is almost always a bug; intentional exact
   sentinels carry ``# repro: noqa[FP001]``.
@@ -23,136 +19,10 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, Optional, Set, Tuple
 
 from repro.analysis_checks.engine import LintRule, register_rule
 from repro.analysis_checks.findings import Severity
-
-
-def _self_private_root(node: ast.AST) -> Optional[str]:
-    """The ``_name`` when ``node`` reaches state rooted at ``self._name``.
-
-    Walks value chains like ``self._models[name].reloads`` down to the
-    innermost ``self._models`` attribute access; returns None for
-    anything not rooted at a private attribute of ``self``.
-    """
-    while True:
-        if isinstance(node, ast.Attribute):
-            if (isinstance(node.value, ast.Name)
-                    and node.value.id == "self"):
-                attr = node.attr
-                if attr.startswith("_") and not attr.startswith("__"):
-                    return attr
-                return None
-            node = node.value
-        elif isinstance(node, ast.Subscript):
-            node = node.value
-        else:
-            return None
-
-
-def _is_self_lock(node: ast.AST) -> bool:
-    return (isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-            and node.attr == "_lock")
-
-
-#: method names that mutate their receiver in place.
-_MUTATORS = frozenset({
-    "append", "appendleft", "add", "clear", "discard", "extend", "insert",
-    "move_to_end", "pop", "popitem", "popleft", "remove", "setdefault",
-    "sort", "update",
-})
-
-
-@register_rule
-class LockDisciplineRule(LintRule):
-    """RC001: mutate ``self._*`` only under ``with self._lock:``."""
-
-    rule_id = "RC001"
-    severity = Severity.ERROR
-    description = ("in classes owning a self._lock, private state is "
-                   "mutated only inside 'with self._lock:' blocks")
-
-    def check(self, tree: ast.Module, path: str) -> Iterator[Tuple]:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef):
-                yield from self._check_class(node)
-
-    def _check_class(self, cls: ast.ClassDef) -> Iterator[Tuple]:
-        methods = [stmt for stmt in cls.body
-                   if isinstance(stmt, (ast.FunctionDef,
-                                        ast.AsyncFunctionDef))]
-        if not any(self._creates_lock(method) for method in methods):
-            return
-        for method in methods:
-            if method.name == "__init__":
-                # construction happens-before publication: no lock needed
-                continue
-            yield from self._check_body(method.body, cls.name, locked=False)
-
-    @staticmethod
-    def _creates_lock(method: ast.AST) -> bool:
-        for node in ast.walk(method):
-            if isinstance(node, ast.Assign) and any(
-                    _is_self_lock(target) for target in node.targets):
-                return True
-        return False
-
-    def _check_body(self, statements: List[ast.stmt], class_name: str,
-                    locked: bool) -> Iterator[Tuple]:
-        for stmt in statements:
-            if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                holds = locked or any(_is_self_lock(item.context_expr)
-                                      for item in stmt.items)
-                yield from self._check_body(stmt.body, class_name, holds)
-            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue   # nested helpers are called, not executed here
-            else:
-                if not locked:
-                    yield from self._check_statement(stmt, class_name)
-                for body in self._child_bodies(stmt):
-                    yield from self._check_body(body, class_name, locked)
-
-    @staticmethod
-    def _child_bodies(stmt: ast.stmt) -> Iterator[List[ast.stmt]]:
-        for field in ("body", "orelse", "finalbody"):
-            value = getattr(stmt, field, None)
-            if isinstance(value, list) and value \
-                    and isinstance(value[0], ast.stmt):
-                yield value
-        for handler in getattr(stmt, "handlers", []):
-            yield handler.body
-
-    def _check_statement(self, stmt: ast.stmt, class_name: str
-                         ) -> Iterator[Tuple]:
-        targets: List[ast.AST] = []
-        if isinstance(stmt, ast.Assign):
-            targets = list(stmt.targets)
-        elif isinstance(stmt, ast.AugAssign):
-            targets = [stmt.target]
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets = [stmt.target]
-        elif isinstance(stmt, ast.Delete):
-            targets = list(stmt.targets)
-        elif isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-            call = stmt.value
-            if (isinstance(call.func, ast.Attribute)
-                    and call.func.attr in _MUTATORS):
-                root = _self_private_root(call.func.value)
-                if root is not None:
-                    yield (stmt,
-                           f"{class_name}.{root}.{call.func.attr}(...) "
-                           f"outside 'with self._lock:'")
-            return
-        for target in targets:
-            root = _self_private_root(target)
-            if root == "_lock":
-                continue
-            if root is not None:
-                yield (stmt, f"{class_name} mutates self.{root} outside "
-                             f"'with self._lock:'")
 
 
 def _is_float_literal(node: ast.AST) -> bool:

@@ -24,6 +24,7 @@ Example::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -294,8 +295,6 @@ def _add_check(subparsers) -> None:
     p.add_argument("--include-tests", action="store_true",
                    help="also lint pytest-style files (benchmarks/); "
                         "test-scoped rules still skip them")
-    p.add_argument("--rules", default=None,
-                   help="comma-separated lint rule ids (default: all)")
     p.add_argument("--only", default=None,
                    help="comma-separated rule ids across every engine "
                         "(lint, UN001/RC100/DC001, CT contracts); "
@@ -411,12 +410,27 @@ def _parse_grid(spec: str):
         raise ValueError(
             f"--grid must be comma-separated GB/s values or 'default', "
             f"got {spec!r}") from None
-    if not bandwidths or any(b <= 0 for b in bandwidths):
+    if not bandwidths:
         raise ValueError("--grid bandwidths must be positive GB/s values")
-    return bandwidths
+    return [_check_gbs("--grid", b) for b in bandwidths]
+
+
+def _check_gbs(option: str, bandwidth: float) -> float:
+    """``bandwidth`` if it is a positive finite GB/s value."""
+    if not (math.isfinite(bandwidth) and bandwidth > 0):
+        raise ValueError(f"{option}: bandwidth must be a positive finite "
+                         f"GB/s value, got {bandwidth:g}")
+    return bandwidth
 
 
 def _cmd_predict(args) -> int:
+    try:
+        if args.bandwidth is not None:
+            _check_gbs("--bandwidth", args.bandwidth)
+        bandwidths = None if args.grid is None else _parse_grid(args.grid)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     model = core.load_model(args.model)
     network = zoo.build(args.network)
     # one compile serves both the prediction and the coverage audit
@@ -427,12 +441,7 @@ def _cmd_predict(args) -> int:
         target = gpu(args.gpu)
         if args.bandwidth is not None:
             target = target.with_bandwidth(args.bandwidth)
-        if args.grid is not None:
-            try:
-                bandwidths = _parse_grid(args.grid)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+        if bandwidths is not None:
             # the whole grid is one vectorised evaluate_many call
             retargetable = model.compile(network, args.batch_size)
             times = retargetable.evaluate_many(
@@ -445,7 +454,7 @@ def _cmd_predict(args) -> int:
         plan = model.compile(network, args.batch_size).bind(target)
         label = target.name
     else:
-        if args.grid is not None:
+        if bandwidths is not None:
             print("error: --grid applies to igkw models only",
                   file=sys.stderr)
             return 2
@@ -861,27 +870,6 @@ def _cmd_compile(args) -> int:
     return 0 if report.ok else 1
 
 
-def _drop_superseded_rc001(findings, covered):
-    """Drop syntactic RC001 findings on classes RC100 analyzed.
-
-    RC100's flow-sensitive pass subsumes RC001 wherever it ran: covered
-    is the ``(path, class name)`` set from :func:`run_program_checks`,
-    and RC001 messages always start with the class name.
-    """
-    if not covered:
-        return findings
-    kept = []
-    for finding in findings:
-        if finding.rule == "RC001" and any(
-                finding.path == path
-                and (finding.message.startswith(cls + " ")
-                     or finding.message.startswith(cls + "."))
-                for path, cls in covered):
-            continue
-        kept.append(finding)
-    return kept
-
-
 def _cmd_check(args) -> int:
     from pathlib import Path
 
@@ -922,10 +910,8 @@ def _cmd_check(args) -> int:
     run_lint = not args.no_lint and (
         only is None or any(rule in RULES for rule in only))
     if run_lint:
-        wanted = args.rules.split(",") if args.rules else None
-        rules = select_rules(wanted)
-        if only is not None:
-            rules = [rule for rule in rules if rule.rule_id in only]
+        rules = [rule for rule in select_rules()
+                 if only is None or rule.rule_id in only]
         findings.extend(lint_paths(paths, rules,
                                    skip_tests=not args.include_tests))
 
@@ -937,9 +923,8 @@ def _cmd_check(args) -> int:
         reference = [entry for entry in (root / "tests",
                                          root / "benchmarks")
                      if entry.is_dir()]
-        program_findings, covered, stats = run_program_checks(
+        program_findings, stats = run_program_checks(
             paths, reference_paths=reference, only=program_rules)
-        findings = _drop_superseded_rc001(findings, covered)
         findings.extend(program_findings)
 
     report = None

@@ -30,6 +30,7 @@ existing plan.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -67,15 +68,14 @@ class PredictionPlan(abc.ABC):
                       ) -> List[float]:
         """Predicted times for a grid of targets, one per entry.
 
-        Bit-compatible with calling :meth:`evaluate` per target: each
-        subclass either replays the scalar arithmetic exactly or (for
-        the retargetable plan) evaluates the grid as numpy matrix ops
-        whose elementwise IEEE operations and accumulation order match
-        the scalar path. Single-GPU plans ignore the targets entirely —
-        their answer is target-independent, so the grid amortises to
-        one scalar evaluation broadcast over ``len(gpus)``.
+        Bit-compatible with calling :meth:`evaluate` per target.
+        Single-GPU plans ignore the targets entirely — their answer is
+        target-independent, so the grid is one scalar evaluation
+        broadcast over ``len(gpus)``. The retargetable plan overrides
+        this with numpy matrix ops whose elementwise IEEE operations
+        and accumulation order match its scalar path.
         """
-        return [self.evaluate(gpu=gpu) for gpu in gpus]
+        return [self.evaluate()] * len(list(gpus))
 
     def coverage(self) -> Optional[CoverageReport]:
         """The lookup-stage audit, for kernel-level plans; else None."""
@@ -98,10 +98,6 @@ class FlopsPlan(PredictionPlan):
     def evaluate(self, gpu: Optional[GPUSpec] = None) -> float:
         return self.fit.predict(self.total_flops)
 
-    def evaluate_many(self, gpus: Sequence[Optional[GPUSpec]]
-                      ) -> List[float]:
-        return [self.evaluate()] * len(list(gpus))
-
 
 class LayerSumPlan(PredictionPlan):
     """LW lowering: one (FLOPs, fit) term per layer, summed in graph order."""
@@ -113,10 +109,6 @@ class LayerSumPlan(PredictionPlan):
 
     def evaluate(self, gpu: Optional[GPUSpec] = None) -> float:
         return sum(fit.predict(flops) for flops, fit in self.terms)
-
-    def evaluate_many(self, gpus: Sequence[Optional[GPUSpec]]
-                      ) -> List[float]:
-        return [self.evaluate()] * len(list(gpus))
 
 
 @dataclass(frozen=True)
@@ -184,10 +176,6 @@ class KernelPlan(PredictionPlan):
             self._stage_sums = (total, fallback)
         return self._stage_sums
 
-    def evaluate_many(self, gpus: Sequence[Optional[GPUSpec]]
-                      ) -> List[float]:
-        return [self.evaluate()] * len(list(gpus))
-
     def coverage(self) -> CoverageReport:
         if self._coverage is None:
             self._coverage = CoverageReport(
@@ -223,10 +211,6 @@ class OverheadPlan(PredictionPlan):
         # same sanity floor as the direct path: the GPU-busy time is at
         # least the work content, the dominant share of the sum
         return max(0.25 * kernel_sum, kernel_sum - hidden)
-
-    def evaluate_many(self, gpus: Sequence[Optional[GPUSpec]]
-                      ) -> List[float]:
-        return [self.evaluate()] * len(list(gpus))
 
     def coverage(self) -> CoverageReport:
         return self.base_plan.coverage()
@@ -340,7 +324,7 @@ class RetargetablePlan(PredictionPlan):
 
     def bind(self, target: GPUSpec) -> KernelPlan:
         """Resolve this plan's lines for one target GPU."""
-        metric_value = self._metric(target)
+        metric_value = self._metric_value(target)
         lines: Dict[str, LinearFit] = {
             name: self._transfers[name].line_for_bandwidth(metric_value)
             for name in self._used_kernels}
@@ -369,6 +353,21 @@ class RetargetablePlan(PredictionPlan):
                           self.network_name, self.batch_size,
                           tuple(layers), lw_model=lw)
 
+    def _metric_value(self, target: GPUSpec) -> float:
+        """The target's driver metric, checked once per target.
+
+        Line synthesis divides by it, so a non-positive or non-finite
+        value is rejected here: ``bind``, ``evaluate`` and the grid
+        path raise the same ``ValueError`` for it instead of pricing a
+        silently wrong time.
+        """
+        value = self._metric(target)
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(
+                f"target {target.name!r}: driver metric must be positive "
+                f"and finite, got {value!r}")
+        return value
+
     def _nearest_lw(self, target: GPUSpec):
         # same selection as InterGPUKernelWiseModel._nearest_lw: the
         # training GPU closest in bandwidth supplies the LW fallback
@@ -388,7 +387,7 @@ class RetargetablePlan(PredictionPlan):
         # KernelPlan per target. The accumulation order is identical to
         # bind(gpu).evaluate() — per-layer clamped kernel sums, then an
         # outer sum over layers — so the result is bit-exact with it.
-        metric_value = self._metric(gpu)
+        metric_value = self._metric_value(gpu)
         lines: Dict[str, LinearFit] = {
             name: self._transfers[name].line_for_bandwidth(metric_value)
             for name in self._used_kernels}
@@ -469,7 +468,7 @@ class RetargetablePlan(PredictionPlan):
         lowering = self._lowering()
         n_points = len(targets)
         metric_values = np.asarray(
-            [self._metric(target) for target in targets])
+            [self._metric_value(target) for target in targets])
 
         # one synthesised line per (kernel, target), plus the dummy
         # all-zero row the padding slots index

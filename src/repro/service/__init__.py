@@ -38,7 +38,6 @@ from repro.service.fallback import (
     PredictionError,
     PredictionOutcome,
     TierError,
-    build_chain,
     build_plan_chain,
 )
 from repro.service.frontend import (
@@ -103,7 +102,6 @@ __all__ = [
     "WorkerOptions",
     "WorkerPool",
     "aggregate_snapshots",
-    "build_chain",
     "build_plan_chain",
     "cache_key",
     "file_stamp",

@@ -34,6 +34,7 @@ from repro.service.fallback import (
 from repro.service.metrics import MetricsRegistry
 from repro.service.registry import (
     ModelResolutionError,
+    finite_bandwidth,
     resolve_target,
 )
 
@@ -82,6 +83,11 @@ def _require(payload: Dict, field: str, kind, explain: str):
     value = payload.get(field)
     if value is None:
         raise ServiceError(400, f"request is missing {field!r} ({explain})")
+    # int() would read True as 1 and truncate 2.7 to 2
+    if kind is int and (isinstance(value, bool) or (
+            isinstance(value, float) and not value.is_integer())):
+        raise ServiceError(
+            400, f"field {field!r} must be int, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError):
@@ -138,7 +144,10 @@ class PredictionService:
         gpu_name = payload.get("gpu")
         bandwidth = payload.get("bandwidth")
         if bandwidth is not None:
-            bandwidth = float(bandwidth)
+            try:
+                bandwidth = finite_bandwidth(bandwidth)
+            except ModelResolutionError as exc:
+                raise ServiceError(400, str(exc)) from None
         return model_name, network_name, batch_size, gpu_name, bandwidth
 
     def _lookup_entry(self, model_name: str):
@@ -473,7 +482,7 @@ class PredictionService:
                 measured_us=measured_us,
                 group=str(payload.get("group", NETWORK_GROUP)),
                 bandwidth=(None if payload.get("bandwidth") is None
-                           else float(payload["bandwidth"])),
+                           else finite_bandwidth(payload["bandwidth"])),
             )
         except ValueError as exc:
             raise ServiceError(400, str(exc)) from None

@@ -15,10 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.core.coverage import FALLBACK, coverage_report
-from repro.core.e2e import EndToEndModel
-from repro.core.kernelwise import KernelTablePredictor
-from repro.core.layerwise import LayerWiseModel
 from repro.core.plan import FlopsPlan, KernelPlan, LayerSumPlan
 from repro.nn.graph import Network
 
@@ -91,53 +87,6 @@ class FallbackChain:
             f"at batch {batch_size} ({trail})")
 
 
-def _kernel_tier(predictor: KernelTablePredictor,
-                 coverage_threshold: float
-                 ) -> Callable[[Network, int], float]:
-    def predict(network: Network, batch_size: int) -> float:
-        report = coverage_report(predictor, network, batch_size)
-        share = report.time_share(FALLBACK)
-        if share > coverage_threshold:
-            raise TierError(
-                f"{share:.0%} of the predicted time rests on unmapped "
-                f"kernels (threshold {coverage_threshold:.0%})")
-        # the report already summed every layer: its total IS the
-        # prediction, so no second pass over the network
-        return report.total_us
-    return predict
-
-
-def build_chain(predictor, registry=None,
-                coverage_threshold: float = COVERAGE_THRESHOLD
-                ) -> FallbackChain:
-    """The degradation chain for one resolved predictor.
-
-    Kernel-level predictors (KW, or IGKW after ``for_gpu``) get the full
-    KW -> LW -> E2E chain; an LW model degrades to a hosted E2E model;
-    an E2E model stands alone. ``registry`` (optional) supplies the
-    hosted E2E tier via ``first_of_kind("e2e")``.
-    """
-    tiers: List[Tier] = []
-    if isinstance(predictor, KernelTablePredictor):
-        tiers.append(("kw", _kernel_tier(predictor, coverage_threshold)))
-        if predictor.lw_fallback is not None:
-            tiers.append(("lw", predictor.lw_fallback.predict_network))
-    elif isinstance(predictor, LayerWiseModel):
-        tiers.append(("lw", predictor.predict_network))
-    elif isinstance(predictor, EndToEndModel):
-        tiers.append(("e2e", predictor.predict_network))
-    else:
-        # any other PerformanceModel serves as its own single tier
-        tiers.append((getattr(predictor, "name", "model").lower(),
-                      predictor.predict_network))
-    has_e2e = any(name == "e2e" for name, _ in tiers)
-    if registry is not None and not has_e2e:
-        hosted = registry.first_of_kind("e2e")
-        if hosted is not None:
-            tiers.append(("e2e", hosted.model.predict_network))
-    return FallbackChain(tiers)
-
-
 def _plan_kernel_tier(plan: KernelPlan,
                       coverage_threshold: float
                       ) -> Callable[[Network, int], float]:
@@ -156,13 +105,15 @@ def _plan_kernel_tier(plan: KernelPlan,
 def build_plan_chain(plan, registry=None,
                      coverage_threshold: float = COVERAGE_THRESHOLD
                      ) -> FallbackChain:
-    """The degradation chain for one *compiled* plan (the serving path).
+    """The degradation chain for one compiled plan.
 
-    Unlike :func:`build_chain`, no tier re-walks the network: the
-    kernel tier reads coverage straight off the plan (its stages were
-    fixed at compile time), the LW tier reuses the fallback model the
-    plan carries, and only the hosted E2E tier (from ``registry``)
-    touches the network object.
+    A kernel plan (KW, or IGKW after ``bind``) gets the full
+    KW -> LW -> E2E chain; an LW plan degrades to a hosted E2E model;
+    an E2E plan stands alone. No tier re-walks the network: the kernel
+    tier reads coverage straight off the plan (its stages were fixed at
+    compile time), the LW tier reuses the fallback model the plan
+    carries, and only the hosted E2E tier (``registry``'s
+    ``first_of_kind("e2e")``) touches the network object.
     """
     tiers: List[Tier] = []
     if isinstance(plan, KernelPlan):

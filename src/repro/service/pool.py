@@ -201,7 +201,9 @@ class WorkerHandle:
         self._process = None
         self._restarts = 0
         self._closing = False
-        self._dispatcher: Optional[threading.Thread] = None
+        self._dispatcher = threading.Thread(
+            target=self._dispatch_loop, daemon=True,
+            name=f"repro-dispatch-{slot}")
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -219,12 +221,11 @@ class WorkerHandle:
         self._process = process
 
     def start(self) -> None:
+        # the dispatcher starts under the lock, so stop() never sees a
+        # spawned process whose dispatcher has not started yet
         with self._lock:
             self._spawn_locked()
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, daemon=True,
-            name=f"repro-dispatch-{self.slot}")
-        self._dispatcher.start()
+            self._dispatcher.start()
 
     def ensure_alive(self) -> bool:
         """Respawn the process if it died; True when a respawn happened."""
@@ -274,7 +275,7 @@ class WorkerHandle:
         with self._lock:
             self._closing = True
             started = self._process is not None
-        if started and self._dispatcher is not None:
+        if started:
             try:
                 call = self.submit(protocol.OP_SHUTDOWN, {},
                                    timeout_s=timeout_s)

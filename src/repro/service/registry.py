@@ -10,9 +10,9 @@ size: on filesystems with coarse mtime granularity two writes can land
 in the same tick, and a float mtime alone would serve the stale model
 forever.
 
-IGKW models are *retargetable*: :meth:`ModelRegistry.resolve` materialises
-a per-GPU predictor via ``for_gpu`` (optionally at an overridden memory
-bandwidth) and memoises the materialisation until the next reload.
+IGKW models are *retargetable*: the service compiles one plan per
+(network, batch size) and binds it per request to the target that
+:func:`resolve_target` validates.
 
 Every mutation (load, reload, removal) bumps the registry *generation*;
 :meth:`ModelRegistry.snapshot` freezes the current generation into a
@@ -27,6 +27,7 @@ worker hot path.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,15 +46,34 @@ class ModelResolutionError(ValueError):
     """A request named a model the registry cannot serve as asked."""
 
 
+def finite_bandwidth(value) -> float:
+    """A request's bandwidth override as a finite float (GB/s).
+
+    Raises :class:`ModelResolutionError` for a bool, a non-numeric value
+    (``"abc"``, ``[1]``) or a non-finite number (NaN, inf): each would
+    otherwise price a silently wrong time or fail untyped.
+    """
+    if isinstance(value, bool):
+        raise ModelResolutionError(
+            f"bandwidth must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ModelResolutionError(
+            f"bandwidth must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ModelResolutionError(
+            f"bandwidth must be finite, got {value!r}")
+    return number
+
+
 def resolve_target(model_name: str, gpu_name: Optional[str],
                    bandwidth: Optional[float]):
     """Validated target :class:`GPUSpec` for one igkw request.
 
-    Shared by :meth:`ModelRegistry.resolve` and the plan-based serving
-    path so both reject bad requests identically. Raises
-    :class:`ModelResolutionError` for a missing GPU name or a
-    non-positive bandwidth override, :class:`KeyError` for an unknown
-    GPU.
+    Raises :class:`ModelResolutionError` for a missing GPU name or a
+    bandwidth override that is not a positive finite number,
+    :class:`KeyError` for an unknown GPU.
     """
     if gpu_name is None:
         raise ModelResolutionError(
@@ -61,6 +81,7 @@ def resolve_target(model_name: str, gpu_name: Optional[str],
             "name a target 'gpu'")
     target = gpu(gpu_name)                       # KeyError on unknown GPU
     if bandwidth is not None:
+        bandwidth = finite_bandwidth(bandwidth)
         if bandwidth <= 0:
             raise ModelResolutionError(
                 f"bandwidth override must be positive, got {bandwidth}")
@@ -100,9 +121,6 @@ class LoadedModel:
     # (network, batch_size); empty when no bundle exists. Rebuilt with
     # the entry on reload, so a stale bundle can never outlive its model.
     plans: Dict[Tuple[str, int], object] = field(default_factory=dict)
-    # for_gpu materialisations, keyed by (gpu, bandwidth); cleared on reload
-    _resolved: Dict[Tuple[str, Optional[float]], KernelTablePredictor] = \
-        field(default_factory=dict)
 
     @property
     def mtime(self) -> float:
@@ -292,26 +310,3 @@ class ModelRegistry:
             if entry is not None and entry.kind == kind:
                 return entry
         return None
-
-    # -- resolution -----------------------------------------------------------
-
-    def resolve(self, name: str, gpu_name: Optional[str] = None,
-                bandwidth: Optional[float] = None):
-        """Materialise a ready-to-call predictor for one request.
-
-        Single-GPU models are returned as-is (``gpu``/``bandwidth`` are
-        ignored: they are baked in at training time). IGKW models require
-        ``gpu_name`` and honour a bandwidth override, memoising each
-        materialised target until the backing file reloads.
-        """
-        entry = self.get(name)
-        if entry.kind != "igkw":
-            return entry.model
-        key = (gpu_name, bandwidth)
-        cached = entry._resolved.get(key)
-        if cached is not None:
-            return cached
-        target = resolve_target(name, gpu_name, bandwidth)
-        predictor = entry.model.for_gpu(target)
-        entry._resolved[key] = predictor
-        return predictor

@@ -71,17 +71,26 @@ class TestOptions:
         assert document["counts"]["error"] == 2
 
     def test_rules_filter_limits_findings(self, dirty_file, capsys):
-        code = main(["check", "--no-contracts", "--rules", "FP001",
+        code = main(["check", "--no-contracts", "--only", "FP001",
                      "--paths", str(dirty_file)])
         assert code == 0           # FP001 is warning severity
         out = capsys.readouterr().out
         assert "FP001" in out and "MD001" not in out
 
     def test_unknown_rule_is_a_usage_error(self, dirty_file, capsys):
-        code = main(["check", "--no-contracts", "--rules", "ZZ999",
+        # RC001 was retired: RC100 is the one lock-discipline rule
+        code = main(["check", "--no-contracts", "--only", "RC001",
                      "--paths", str(dirty_file)])
         assert code == 2
-        assert "unknown rule 'ZZ999'" in capsys.readouterr().err
+        assert "unknown rule 'RC001'" in capsys.readouterr().err
+
+    def test_rules_option_is_a_usage_error(self, dirty_file, capsys):
+        # --only is the one rule selector across every engine
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", "--no-contracts", "--rules", "FP001",
+                  "--paths", str(dirty_file)])
+        assert exit_info.value.code == 2
+        assert "--rules" in capsys.readouterr().err
 
     def test_test_files_are_not_linted(self, tmp_path, capsys):
         (tmp_path / "test_dirty.py").write_text(VIOLATIONS)
@@ -124,10 +133,10 @@ RACE_CLASS = (
     "            self._hits += 1\n"
     "\n"
     "    def reset(self):\n"
-    "        self._hits = 0\n"       # RC001 and RC100 both see this
+    "        self._hits = 0\n"       # unlocked write
     "\n"
     "    def hits(self):\n"
-    "        return self._hits\n"    # only RC100 sees this read
+    "        return self._hits\n"    # unlocked read
 )
 
 
@@ -172,6 +181,16 @@ class TestProgramAnalyzers:
         assert code == 1
         out = capsys.readouterr().out
         assert "RC100" in out and "RC001" not in out
+        assert "Store.reset() writes self._hits" in out
+        assert "Store.hits() reads self._hits" in out
+
+    def test_no_program_skips_lock_discipline(self, tmp_path, capsys):
+        path = tmp_path / "store.py"
+        path.write_text(RACE_CLASS)
+        code = main(["check", "--no-contracts", "--no-baseline",
+                     "--no-program", "--paths", str(path)])
+        assert code == 0
+        assert "RC100" not in capsys.readouterr().out
 
     def test_index_stats_reported(self, unit_bug_pkg, capsys):
         main(["check", "--no-contracts", "--index-stats", "--format",

@@ -25,8 +25,8 @@ class TestSuppressionParsing:
         assert table == {1: None}
 
     def test_bracket_form_names_rules(self):
-        table = _suppressions("x = 1  # repro: noqa[FP001, RC001]\n")
-        assert table == {1: {"FP001", "RC001"}}
+        table = _suppressions("x = 1  # repro: noqa[FP001, RC100]\n")
+        assert table == {1: {"FP001", "RC100"}}
 
     def test_trailing_prose_after_bracket_ok(self):
         table = _suppressions(

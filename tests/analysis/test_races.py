@@ -42,7 +42,7 @@ def rc100(tmp_path, body="", source=None):
 
 class TestUnlockedReads:
     def test_public_unlocked_read_flagged(self, tmp_path):
-        findings, covered = rc100(tmp_path, """\
+        findings = rc100(tmp_path, """\
             def hits(self):
                 return self._hits
             """)
@@ -50,10 +50,9 @@ class TestUnlockedReads:
         assert finding.rule == "RC100"
         assert finding.severity is Severity.ERROR
         assert "Store.hits() reads self._hits" in finding.message
-        assert covered == {(finding.path, "Store")}
 
     def test_locked_read_is_clean(self, tmp_path):
-        findings, _ = rc100(tmp_path, """\
+        findings = rc100(tmp_path, """\
             def hits(self):
                 with self._lock:
                     return self._hits
@@ -61,7 +60,7 @@ class TestUnlockedReads:
         assert findings == []
 
     def test_property_read_flagged(self, tmp_path):
-        findings, _ = rc100(tmp_path, """\
+        findings = rc100(tmp_path, """\
             @property
             def ratio(self):
                 return self._hits / max(len(self._items), 1)
@@ -69,13 +68,13 @@ class TestUnlockedReads:
         assert len(findings) == 2    # _hits and _items, same line
 
     def test_init_reads_and_writes_exempt(self, tmp_path):
-        findings, _ = rc100(tmp_path, "")
+        findings = rc100(tmp_path, "")
         assert findings == []
 
 
 class TestHelperReachability:
     def test_helper_called_only_under_lock_is_clean(self, tmp_path):
-        findings, _ = rc100(tmp_path, """\
+        findings = rc100(tmp_path, """\
             def snapshot(self):
                 with self._lock:
                     return self._render()
@@ -86,7 +85,7 @@ class TestHelperReachability:
         assert findings == []
 
     def test_helper_reachable_unlocked_flagged(self, tmp_path):
-        findings, _ = rc100(tmp_path, """\
+        findings = rc100(tmp_path, """\
             def snapshot(self):
                 return self._render()
 
@@ -97,7 +96,7 @@ class TestHelperReachability:
         assert "Store._render() reads self._items" in finding.message
 
     def test_escaped_helper_flagged(self, tmp_path):
-        findings, _ = rc100(tmp_path, """\
+        findings = rc100(tmp_path, """\
             def start(self):
                 threading.Thread(target=self._drain).start()
 
@@ -108,7 +107,7 @@ class TestHelperReachability:
         assert "Store._drain() mutates self._items" in finding.message
 
     def test_unlocked_write_flagged_as_write(self, tmp_path):
-        findings, _ = rc100(tmp_path, """\
+        findings = rc100(tmp_path, """\
             def reset(self):
                 self._hits = 0
             """)
@@ -116,7 +115,7 @@ class TestHelperReachability:
         assert "writes self._hits" in finding.message
 
     def test_transitive_helper_chain_flagged(self, tmp_path):
-        findings, _ = rc100(tmp_path, """\
+        findings = rc100(tmp_path, """\
             def outer(self):
                 return self._mid()
 
@@ -134,7 +133,7 @@ class TestAtomicFieldExemption:
     def test_queue_field_read_unlocked_is_clean(self, tmp_path):
         # a field only ever assigned an internally-synchronised type is
         # a stable handle: lock-free reads are the whole point of it
-        findings, covered = rc100(tmp_path, source="""\
+        findings = rc100(tmp_path, source="""\
             import queue
             import threading
 
@@ -154,10 +153,9 @@ class TestAtomicFieldExemption:
                     return self._queue.qsize()
             """)
         assert findings == []
-        assert covered            # _pending still makes the class covered
 
     def test_reassigned_to_plain_value_revokes_exemption(self, tmp_path):
-        findings, _ = rc100(tmp_path, source="""\
+        findings = rc100(tmp_path, source="""\
             import queue
             import threading
 
@@ -178,7 +176,7 @@ class TestAtomicFieldExemption:
         assert "Dispatcher.depth() reads self._queue" in finding.message
 
     def test_event_and_metrics_registry_are_atomic(self, tmp_path):
-        findings, _ = rc100(tmp_path, source="""\
+        findings = rc100(tmp_path, source="""\
             import threading
 
             from repro.service.metrics import MetricsRegistry
@@ -204,7 +202,7 @@ class TestAtomicFieldExemption:
         assert findings == []
 
     def test_annotated_atomic_assignment_counts(self, tmp_path):
-        findings, _ = rc100(tmp_path, source="""\
+        findings = rc100(tmp_path, source="""\
             import queue
             import threading
 
@@ -225,7 +223,7 @@ class TestAtomicFieldExemption:
 
     def test_augmented_assignment_disqualifies(self, tmp_path):
         # += rebinding means the field is state, not a handle
-        findings, _ = rc100(tmp_path, source="""\
+        findings = rc100(tmp_path, source="""\
             import collections
             import threading
 
@@ -248,7 +246,7 @@ class TestAtomicFieldExemption:
 
 class TestCoverage:
     def test_lockless_class_not_covered(self, tmp_path):
-        findings, covered = rc100(tmp_path, source="""\
+        findings = rc100(tmp_path, source="""\
             class Plain:
                 def __init__(self):
                     self._items = {}
@@ -256,12 +254,12 @@ class TestCoverage:
                 def put(self, key, value):
                     self._items[key] = value
             """)
-        assert findings == [] and covered == set()
+        assert findings == []
 
-    def test_lock_without_guarded_fields_not_covered(self, tmp_path):
-        # the class owns a lock but never locks anything: RC100 has no
-        # signal, so syntactic RC001 must keep applying (not superseded)
-        findings, covered = rc100(tmp_path, source="""\
+    def test_lock_without_locked_writes_still_guards(self, tmp_path):
+        # the class owns a lock but never takes it: every private field
+        # a method other than __init__ writes is still lock-guarded
+        findings = rc100(tmp_path, source="""\
             import threading
 
 
@@ -273,15 +271,60 @@ class TestCoverage:
                 def put(self, key, value):
                     self._items[key] = value
             """)
-        assert findings == [] and covered == set()
+        (finding,) = findings
+        assert "Sloppy.put() writes self._items" in finding.message
+        assert finding.line == 10
+
+    def test_fields_only_init_assigns_are_unguarded(self, tmp_path):
+        # written once before publication, then only read: no lock needed
+        findings = rc100(tmp_path, source="""\
+            import threading
+
+
+            class Config:
+                def __init__(self, path):
+                    self._lock = threading.Lock()
+                    self._path = path
+                    self._hits = 0
+
+                def path(self):
+                    return self._path
+
+                def bump(self):
+                    with self._lock:
+                        self._hits += 1
+            """)
+        assert findings == []
+
+    def test_unlocked_delete_flagged(self, tmp_path):
+        findings = rc100(tmp_path, """\
+            def drop(self, key):
+                del self._items[key]
+            """)
+        (finding,) = findings
+        assert "Store.drop() writes self._items" in finding.message
+
+    def test_write_outside_init_guards_a_field_read_unlocked(self,
+                                                             tmp_path):
+        # the WorkerHandle._dispatcher shape: start() rebinds a field
+        # that stop() reads, neither under the lock
+        findings = rc100(tmp_path, """\
+            def start(self):
+                self._worker = threading.Thread(target=print)
+
+            def stop(self):
+                return self._worker
+            """)
+        assert {f.message.split(" outside")[0] for f in findings} == {
+            "Store.start() writes self._worker",
+            "Store.stop() reads self._worker"}
 
     def test_noqa_suppresses(self, tmp_path):
-        findings, covered = rc100(tmp_path, """\
+        findings = rc100(tmp_path, """\
             def hits(self):
                 return self._hits  # repro: noqa[RC100] monotone counter
             """)
         assert findings == []
-        assert covered           # suppression does not un-cover the class
 
 
 class TestRealTree:
@@ -294,11 +337,4 @@ class TestRealTree:
         return check_races(index)
 
     def test_repo_tree_is_race_clean(self, real):
-        findings, _ = real
-        assert findings == []
-
-    def test_service_classes_are_covered(self, real):
-        _, covered = real
-        names = {cls for _, cls in covered}
-        assert {"PredictionCache", "ModelRegistry",
-                "FeedbackLog"} <= names
+        assert real == []

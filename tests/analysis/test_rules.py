@@ -5,6 +5,8 @@ import textwrap
 import pytest
 
 from repro.analysis_checks import Severity, lint_source, select_rules
+from repro.analysis_checks.index import ProjectIndex
+from repro.analysis_checks.races import check_races
 
 
 def findings_for(rule_id, source):
@@ -14,6 +16,13 @@ def findings_for(rule_id, source):
 
 
 class TestRC001LockDiscipline:
+    """The cases of the retired syntactic RC001 rule, re-run on RC100.
+
+    RC100 is the one lock-discipline analyzer: every snippet RC001
+    flagged must be flagged by RC100 on the same line, and every snippet
+    RC001 passed must stay clean.
+    """
+
     LOCKED_CLASS = (
         "import threading\n"
         "\n"
@@ -25,42 +34,56 @@ class TestRC001LockDiscipline:
         "\n"
         "    def %s\n")
 
-    def test_unlocked_assignment_flagged(self):
+    @staticmethod
+    def rc100(tmp_path, source, flagged=None):
+        """RC100 findings for ``source``; with ``flagged``, assert there
+        is exactly one and it sits on the line containing that text."""
+        source = textwrap.dedent(source)
+        path = tmp_path / "store.py"
+        path.write_text(source)
+        findings = check_races(ProjectIndex.build([path]))
+        if flagged is not None:
+            (finding,) = findings
+            lines = source.splitlines()
+            assert flagged in lines[finding.line - 1], finding
+            assert finding.severity is Severity.ERROR
+        return findings
+
+    def test_unlocked_assignment_flagged(self, tmp_path):
         source = self.LOCKED_CLASS % "put(self, k, v):\n        self._items[k] = v"
-        (finding,) = findings_for("RC001", source)
-        assert "_items" in finding.message
-        assert finding.severity is Severity.ERROR
+        (finding,) = self.rc100(tmp_path, source, "self._items[k] = v")
+        assert "writes self._items" in finding.message
 
-    def test_unlocked_augassign_flagged(self):
+    def test_unlocked_augassign_flagged(self, tmp_path):
         source = self.LOCKED_CLASS % "bump(self):\n        self._count += 1"
-        assert len(findings_for("RC001", source)) == 1
+        self.rc100(tmp_path, source, "self._count += 1")
 
-    def test_unlocked_mutator_call_flagged(self):
+    def test_unlocked_mutator_call_flagged(self, tmp_path):
         source = self.LOCKED_CLASS % ("drop(self, k):\n"
                                       "        self._items.pop(k, None)")
-        (finding,) = findings_for("RC001", source)
-        assert "pop" in finding.message
+        (finding,) = self.rc100(tmp_path, source, "self._items.pop(k, None)")
+        assert "mutates self._items" in finding.message
 
-    def test_locked_mutation_is_clean(self):
+    def test_locked_mutation_is_clean(self, tmp_path):
         source = self.LOCKED_CLASS % ("put(self, k, v):\n"
                                       "        with self._lock:\n"
                                       "            self._items[k] = v")
-        assert findings_for("RC001", source) == []
+        assert self.rc100(tmp_path, source) == []
 
-    def test_mutation_in_branch_under_lock_is_clean(self):
+    def test_mutation_in_branch_under_lock_is_clean(self, tmp_path):
         source = self.LOCKED_CLASS % ("put(self, k, v):\n"
                                       "        with self._lock:\n"
                                       "            if k not in self._items:\n"
                                       "                self._items[k] = v")
-        assert findings_for("RC001", source) == []
+        assert self.rc100(tmp_path, source) == []
 
-    def test_branch_outside_lock_flagged(self):
+    def test_branch_outside_lock_flagged(self, tmp_path):
         source = self.LOCKED_CLASS % ("put(self, k, v):\n"
                                       "        if v:\n"
                                       "            self._items[k] = v")
-        assert len(findings_for("RC001", source)) == 1
+        self.rc100(tmp_path, source, "self._items[k] = v")
 
-    def test_init_is_exempt(self):
+    def test_init_is_exempt(self, tmp_path):
         source = """
             import threading
 
@@ -69,9 +92,9 @@ class TestRC001LockDiscipline:
                     self._lock = threading.Lock()
                     self._items = {}
         """
-        assert findings_for("RC001", source) == []
+        assert self.rc100(tmp_path, source) == []
 
-    def test_lockless_class_is_exempt(self):
+    def test_lockless_class_is_exempt(self, tmp_path):
         source = """
             class Plain:
                 def __init__(self):
@@ -80,23 +103,23 @@ class TestRC001LockDiscipline:
                 def put(self, k, v):
                     self._items[k] = v
         """
-        assert findings_for("RC001", source) == []
+        assert self.rc100(tmp_path, source) == []
 
-    def test_other_objects_private_attrs_ignored(self):
+    def test_other_objects_private_attrs_ignored(self, tmp_path):
         source = self.LOCKED_CLASS % ("fill(self, entry):\n"
                                       "        entry._resolved = {}")
-        assert findings_for("RC001", source) == []
+        assert self.rc100(tmp_path, source) == []
 
-    def test_public_attribute_ignored(self):
+    def test_public_attribute_ignored(self, tmp_path):
         source = self.LOCKED_CLASS % ("label(self, text):\n"
                                       "        self.name = text")
-        assert findings_for("RC001", source) == []
+        assert self.rc100(tmp_path, source) == []
 
-    def test_noqa_suppresses(self):
+    def test_noqa_suppresses(self, tmp_path):
         source = self.LOCKED_CLASS % (
             "put(self, k, v):\n"
-            "        self._items[k] = v  # repro: noqa[RC001]")
-        assert findings_for("RC001", source) == []
+            "        self._items[k] = v  # repro: noqa[RC100]")
+        assert self.rc100(tmp_path, source) == []
 
 
 class TestFP001FloatEquality:
@@ -257,8 +280,8 @@ class TestEX002AnonymousExceptionLabel:
 class TestRuleRegistry:
     def test_all_rules_registered(self):
         ids = {rule.rule_id for rule in select_rules()}
-        assert {"RC001", "FP001", "AS001", "MD001", "EX001",
-                "EX002"} <= ids
+        assert {"FP001", "AS001", "MD001", "EX001", "EX002"} <= ids
+        assert "RC001" not in ids      # lock discipline is RC100's
 
     def test_unknown_rule_raises(self):
         with pytest.raises(KeyError):

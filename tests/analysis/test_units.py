@@ -18,7 +18,7 @@ def un001(tmp_path, **modules):
         init.write_text("")
     for name, source in modules.items():
         (root / f"{name}.py").write_text(textwrap.dedent(source))
-    findings, _, _ = run_program_checks([root], only=["UN001"])
+    findings, _ = run_program_checks([root], only=["UN001"])
     return findings
 
 

@@ -87,6 +87,25 @@ class TestIGKW:
                      "--bandwidth", "1200"]) == 0
         assert "ms" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--bandwidth", "nan"), ("--bandwidth", "inf"),
+        ("--bandwidth", "-5"), ("--grid", "nan,900"),
+        ("--grid", "900,inf")])
+    def test_non_finite_bandwidth_exits_2(self, built_dataset_dir,
+                                          tmp_path_factory, capsys, flag,
+                                          value):
+        path = tmp_path_factory.mktemp("igkw-bad-bw") / "igkw.json"
+        main(["train-igkw", "--dataset", str(built_dataset_dir), "--gpu",
+              "A100", "--gpu", "TITAN RTX", "--out", str(path)])
+        capsys.readouterr()
+        code = main(["predict", "--model", str(path), "--network",
+                     "resnet50", "--batch-size", "64", "--gpu", "V100",
+                     flag, value])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "finite" in captured.err
+
     def test_igkw_predict_requires_gpu(self, built_dataset_dir, tmp_path,
                                        capsys):
         path = tmp_path / "igkw2.json"

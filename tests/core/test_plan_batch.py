@@ -134,6 +134,29 @@ class TestFallbackErrorParity:
             fallback_plan.evaluate_many([gpu("V100")])
 
 
+class TestDriverMetricParity:
+    """A non-finite driver metric is one ValueError on every path,
+    never a silently priced number (the scalar path used to clamp NaN to
+    0.0 while the grid path returned NaN). GPUSpec itself already
+    rejects non-positive bandwidths."""
+
+    @pytest.mark.parametrize("bandwidth", [float("nan"), float("inf")])
+    def test_scalar_and_grid_raise_the_same_error(self, igkw_model,
+                                                  bandwidth):
+        plan = igkw_model.compile(zoo.build("resnet18"), PARITY_BS)
+        bad = gpu("V100").with_bandwidth(bandwidth)
+        errors = []
+        for call in (lambda: plan.evaluate(gpu=bad),
+                     lambda: plan.bind(bad),
+                     lambda: plan.evaluate_many([gpu("A100"), bad]),
+                     lambda: plan.evaluate_grid([bad])):
+            with pytest.raises(ValueError) as info:
+                call()
+            errors.append(str(info.value))
+        assert len(set(errors)) == 1
+        assert "must be positive and finite" in errors[0]
+
+
 class TestKernelTransferVectorised:
     def test_matches_scalar_lines(self, igkw_model):
         bandwidths = np.asarray([200.0, 700.0, 1555.0, 2039.0])

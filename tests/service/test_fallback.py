@@ -1,4 +1,4 @@
-"""Tests for the KW -> LW -> E2E fallback chain."""
+"""Tests for the KW -> LW -> E2E fallback chain over compiled plans."""
 
 import pytest
 
@@ -7,34 +7,44 @@ from repro.service import (
     FallbackChain,
     PredictionError,
     TierError,
-    build_chain,
+    build_plan_chain,
+    resolve_target,
 )
 
 
+def compile_plan(registry, model_name, network_name="resnet50",
+                 batch_size=64):
+    network = zoo.build(network_name)
+    return registry.get(model_name).model.compile(network, batch_size)
+
+
 @pytest.fixture()
-def kw_predictor(registry):
+def kw_model(registry):
     return registry.get("kw-a100").model
 
 
 class TestBuildChain:
-    def test_kernel_model_gets_full_chain(self, kw_predictor, registry):
-        chain = build_chain(kw_predictor, registry)
+    def test_kernel_model_gets_full_chain(self, registry):
+        chain = build_plan_chain(compile_plan(registry, "kw-a100"), registry)
         assert chain.tier_names() == ["kw", "lw", "e2e"]
 
     def test_lw_model_degrades_to_hosted_e2e(self, registry):
-        chain = build_chain(registry.get("lw-a100").model, registry)
+        chain = build_plan_chain(compile_plan(registry, "lw-a100"), registry)
         assert chain.tier_names() == ["lw", "e2e"]
 
     def test_e2e_model_stands_alone(self, registry):
-        chain = build_chain(registry.get("e2e-a100").model, registry)
+        chain = build_plan_chain(compile_plan(registry, "e2e-a100"),
+                                 registry)
         assert chain.tier_names() == ["e2e"]
 
-    def test_without_registry_no_hosted_tier(self, kw_predictor):
-        assert build_chain(kw_predictor).tier_names() == ["kw", "lw"]
+    def test_without_registry_no_hosted_tier(self, registry):
+        chain = build_plan_chain(compile_plan(registry, "kw-a100"))
+        assert chain.tier_names() == ["kw", "lw"]
 
     def test_igkw_resolved_predictor_gets_full_chain(self, registry):
-        predictor = registry.resolve("igkw", gpu_name="V100")
-        chain = build_chain(predictor, registry)
+        target = resolve_target("igkw", "V100", None)
+        plan = compile_plan(registry, "igkw").bind(target)
+        chain = build_plan_chain(plan, registry)
         assert chain.tier_names() == ["kw", "lw", "e2e"]
 
     def test_empty_chain_rejected(self):
@@ -43,35 +53,36 @@ class TestBuildChain:
 
 
 class TestPredict:
-    def test_covered_network_answers_at_kw(self, kw_predictor, registry):
-        chain = build_chain(kw_predictor, registry)
+    def test_covered_network_answers_at_kw(self, kw_model, registry):
         network = zoo.build("resnet50")
+        chain = build_plan_chain(kw_model.compile(network, 64), registry)
         outcome = chain.predict(network, 64)
         assert outcome.tier == "kw"
         assert not outcome.degraded
         assert outcome.attempts == (("kw", None),)
-        assert outcome.value_us == pytest.approx(
-            kw_predictor.predict_network(network, 64))
+        assert outcome.value_us == kw_model.predict_network(network, 64)
 
-    def test_unknown_shapes_degrade_to_lw(self, kw_predictor, registry):
+    def test_unknown_shapes_degrade_to_lw(self, kw_model, registry):
         """A transformer against a CNN-trained KW model: the mapping
         table misses, coverage flags the prediction, LW answers."""
-        chain = build_chain(kw_predictor, registry)
-        outcome = chain.predict(zoo.build("bert_small"), 64)
+        network = zoo.build("bert_small")
+        chain = build_plan_chain(kw_model.compile(network, 64), registry)
+        outcome = chain.predict(network, 64)
         assert outcome.tier == "lw"
         assert outcome.degraded
         assert outcome.attempts[0][0] == "kw"
         assert "unmapped" in outcome.attempts[0][1]
-        assert outcome.value_us == pytest.approx(
-            kw_predictor.lw_fallback.predict_network(
-                zoo.build("bert_small"), 64))
+        assert outcome.value_us == \
+            kw_model.lw_fallback.predict_network(network, 64)
 
-    def test_strict_threshold_forces_degradation(self, kw_predictor,
+    def test_strict_threshold_forces_degradation(self, kw_model,
                                                  registry):
         """coverage_threshold=0 rejects any fallback time at the KW
         tier, even for a well-covered CNN variant."""
-        chain = build_chain(kw_predictor, registry, coverage_threshold=0.0)
-        outcome = chain.predict(zoo.build("bert_small"), 64)
+        network = zoo.build("bert_small")
+        chain = build_plan_chain(kw_model.compile(network, 64), registry,
+                                 coverage_threshold=0.0)
+        outcome = chain.predict(network, 64)
         assert outcome.tier in ("lw", "e2e")
 
     def test_chain_reaches_e2e_when_lw_fails(self, registry):
@@ -95,9 +106,22 @@ class TestPredict:
         with pytest.raises(PredictionError, match="every fallback tier"):
             chain.predict(zoo.build("resnet18"), 64)
 
-    def test_tier_counts_match_coverage_semantics(self, kw_predictor,
+    def test_tier_counts_match_coverage_semantics(self, kw_model,
                                                   registry):
         """Every small-roster CNN the model trained on answers at kw."""
-        chain = build_chain(kw_predictor, registry)
         for name in ("alexnet", "resnet18", "vgg11", "mobilenet_v2"):
-            assert chain.predict(zoo.build(name), 64).tier == "kw"
+            network = zoo.build(name)
+            chain = build_plan_chain(kw_model.compile(network, 64),
+                                     registry)
+            assert chain.predict(network, 64).tier == "kw"
+
+    def test_plan_tiers_answer_with_the_plans_values(self, registry):
+        """The lw and e2e tiers of a plan chain serve the plan's own
+        compiled value, bit-exact with the model's direct path."""
+        network = zoo.build("resnet18")
+        for name in ("lw-a100", "e2e-a100"):
+            model = registry.get(name).model
+            outcome = build_plan_chain(model.compile(network, 64)
+                                       ).predict(network, 64)
+            assert not outcome.degraded
+            assert outcome.value_us == model.predict_network(network, 64)

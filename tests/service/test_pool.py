@@ -2,13 +2,14 @@
 
 import os
 import signal
+import threading
 import time
 
 import pytest
 
 from repro.service import protocol
 from repro.service.metrics import MetricsRegistry
-from repro.service.pool import WorkerOptions, WorkerPool
+from repro.service.pool import WorkerHandle, WorkerOptions, WorkerPool
 from repro.service.sharding import shard_key
 
 
@@ -148,6 +149,21 @@ class TestShutdown:
             # the processes are gone (reaped by multiprocessing.join)
             with pytest.raises(OSError):
                 os.kill(pid, 0)
+
+    def test_handle_stop_joins_its_dispatcher(self, models_dir):
+        def dispatchers():
+            return [thread for thread in threading.enumerate()
+                    if thread.name == "repro-dispatch-7"]
+
+        idle = WorkerHandle(7, models_dir, WorkerOptions())
+        idle.stop(timeout_s=1.0)          # never started: nothing to join
+        assert dispatchers() == []
+        handle = WorkerHandle(7, models_dir, WorkerOptions())
+        handle.start()
+        assert [thread.is_alive() for thread in dispatchers()] == [True]
+        handle.stop(timeout_s=10.0)
+        assert dispatchers() == []
+        assert not handle.alive()
 
     def test_queue_depths_report_per_slot(self, pool):
         assert pool.queue_depths() == {0: 0, 1: 0}

@@ -149,6 +149,21 @@ class TestBatchRejections:
         assert status == 400
         assert fragment in body["error"]
 
+    def test_bad_bandwidth_fails_only_its_item(self, live_server):
+        url, _ = live_server
+        igkw = _item(model="igkw", network="resnet18", gpu="V100")
+        bad = [float("nan"), float("inf"), "abc", [1]]
+        items = ([dict(igkw, bandwidth=b) for b in bad]
+                 + [dict(igkw, bandwidth=900.0), igkw])
+        status, body = _post(url, "/predict_batch", {"items": items})
+        assert status == 200
+        assert body["errors"] == len(bad)
+        for result in body["results"][:len(bad)]:
+            assert result["status"] == 400
+            assert "bandwidth must be" in result["error"]
+        for result in body["results"][len(bad):]:
+            assert "status" not in result and result["predicted_us"] > 0
+
     def test_oversized_batch_413(self, models_dir):
         service = PredictionService(ModelRegistry(models_dir),
                                     batch_cap=4)

@@ -6,8 +6,15 @@ import shutil
 import pytest
 
 from repro import zoo
-from repro.core.kernelwise import KernelTablePredictor
-from repro.service import ModelRegistry, ModelResolutionError, model_kind
+from repro.core.plan import KernelPlan
+from repro.gpu import gpu
+from repro.service import (
+    ModelRegistry,
+    ModelResolutionError,
+    PredictionService,
+    model_kind,
+    resolve_target,
+)
 
 
 @pytest.fixture()
@@ -113,35 +120,52 @@ class TestHotReload:
 
 
 class TestResolve:
-    def test_single_gpu_models_ignore_target(self, registry):
-        model = registry.resolve("kw-a100", gpu_name="V100")
-        assert model is registry.get("kw-a100").model
+    """Per-request retargeting: ``resolve_target`` + ``plan.bind``."""
 
-    def test_igkw_requires_gpu(self, registry):
+    def test_single_gpu_models_ignore_target(self, registry):
+        plan = registry.get("kw-a100").model.compile(
+            zoo.build("resnet18"), 64)
+        assert plan.evaluate(gpu=gpu("V100")) == plan.evaluate()
+
+    def test_igkw_requires_gpu(self):
         with pytest.raises(ModelResolutionError, match="target 'gpu'"):
-            registry.resolve("igkw")
+            resolve_target("igkw", None, None)
 
     def test_igkw_materialises_and_memoises(self, registry):
-        first = registry.resolve("igkw", gpu_name="V100")
-        assert isinstance(first, KernelTablePredictor)
-        assert registry.resolve("igkw", gpu_name="V100") is first
-        other = registry.resolve("igkw", gpu_name="A40")
-        assert other is not first
+        # one compiled plan serves every target: the second GPU is a
+        # plan-cache hit that only binds
+        service = PredictionService(registry)
+        body = {"model": "igkw", "network": "resnet18", "batch_size": 64}
+        first = service.predict(dict(body, gpu="V100"))
+        other = service.predict(dict(body, gpu="A40"))
+        assert first["plan_cached"] is False
+        assert other["plan_cached"] is True
+        assert first["predicted_us"] != other["predicted_us"]
+        plan = registry.get("igkw").model.compile(zoo.build("resnet18"), 64)
+        bound = plan.bind(resolve_target("igkw", "V100", None))
+        assert isinstance(bound, KernelPlan)
+        assert bound.evaluate() == first["predicted_us"]
 
     def test_igkw_bandwidth_override_changes_prediction(self, registry):
-        network = zoo.build("resnet18")
-        slow = registry.resolve("igkw", gpu_name="V100", bandwidth=300.0)
-        fast = registry.resolve("igkw", gpu_name="V100", bandwidth=2000.0)
-        assert slow.predict_network(network, 64) \
-            > fast.predict_network(network, 64)
+        plan = registry.get("igkw").model.compile(zoo.build("resnet18"), 64)
+        slow = plan.bind(resolve_target("igkw", "V100", 300.0))
+        fast = plan.bind(resolve_target("igkw", "V100", 2000.0))
+        assert slow.evaluate() > fast.evaluate()
 
-    def test_igkw_rejects_nonpositive_bandwidth(self, registry):
+    def test_igkw_rejects_nonpositive_bandwidth(self):
         with pytest.raises(ModelResolutionError, match="positive"):
-            registry.resolve("igkw", gpu_name="V100", bandwidth=0.0)
+            resolve_target("igkw", "V100", 0.0)
 
-    def test_unknown_gpu_raises_key_error(self, registry):
+    @pytest.mark.parametrize("bandwidth", [
+        float("nan"), float("inf"), float("-inf"), "abc", [1], True])
+    def test_igkw_rejects_non_numeric_or_non_finite_bandwidth(
+            self, bandwidth):
+        with pytest.raises(ModelResolutionError, match="bandwidth must be"):
+            resolve_target("igkw", "V100", bandwidth)
+
+    def test_unknown_gpu_raises_key_error(self):
         with pytest.raises(KeyError, match="unknown GPU"):
-            registry.resolve("igkw", gpu_name="TPUv9")
+            resolve_target("igkw", "TPUv9", None)
 
     def test_first_of_kind(self, registry):
         assert registry.first_of_kind("e2e").name == "e2e-a100"

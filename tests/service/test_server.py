@@ -166,6 +166,25 @@ class TestBadRequests:
          400, "target 'gpu'"),
         ({"model": "igkw", "network": "resnet50", "batch_size": 64,
           "gpu": "TPUv9"}, 404, "unknown GPU"),
+        # a bandwidth that is not a finite number never prices a time,
+        # whatever the model kind
+        ({"model": "igkw", "network": "resnet50", "batch_size": 64,
+          "gpu": "V100", "bandwidth": float("nan")}, 400, "finite"),
+        ({"model": "igkw", "network": "resnet50", "batch_size": 64,
+          "gpu": "V100", "bandwidth": float("inf")}, 400, "finite"),
+        ({"model": "igkw", "network": "resnet50", "batch_size": 64,
+          "gpu": "V100", "bandwidth": "1e400"}, 400, "finite"),
+        ({"model": "igkw", "network": "resnet50", "batch_size": 64,
+          "gpu": "V100", "bandwidth": "abc"}, 400, "number"),
+        ({"model": "kw-a100", "network": "resnet50", "batch_size": 64,
+          "bandwidth": [1]}, 400, "number"),
+        ({"model": "kw-a100", "network": "resnet50", "batch_size": 64,
+          "bandwidth": float("nan")}, 400, "finite"),
+        # int() would read these as 1 and 2
+        ({"model": "kw-a100", "network": "resnet50", "batch_size": True},
+         400, "batch_size"),
+        ({"model": "kw-a100", "network": "resnet50", "batch_size": 2.7},
+         400, "batch_size"),
     ])
     def test_rejections(self, live_server, payload, status, fragment):
         url, _ = live_server
