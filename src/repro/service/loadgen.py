@@ -16,19 +16,24 @@ samples and recomputes every percentile from the union — percentiles
 are never averaged across processes, which would systematically
 understate the tail. Shed responses (HTTP 429 from admission control)
 land in their own bucket, separate from both successes and failures.
+
+Each client thread holds one persistent HTTP/1.1 connection and reuses
+it for every post, so the report times the server, not a TCP connect
+per request; ``LoadReport.connections`` counts the connections opened.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import multiprocessing
 import queue
+import socket
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
-from urllib.error import HTTPError, URLError
-from urllib.request import Request, urlopen
+from urllib.parse import urlsplit
 
 from repro.sim.serving import poisson_arrivals
 
@@ -66,6 +71,9 @@ class LoadReport:
     #: outcome bucket: not a success, but not a server failure either.
     shed: int = 0
     shed_latencies_ms: Tuple[float, ...] = ()
+    #: TCP connections the clients opened: one per client thread when
+    #: every kept-alive connection survived the run.
+    connections: int = 0
 
     @property
     def achieved_rps(self) -> float:
@@ -106,6 +114,7 @@ class LoadReport:
             "failed_latencies_ms": list(self.failed_latencies_ms),
             "shed": self.shed,
             "shed_latencies_ms": list(self.shed_latencies_ms),
+            "connections": self.connections,
         }
 
     @classmethod
@@ -130,6 +139,7 @@ class LoadReport:
             f"p99.9 {self.latency_percentile_ms(99.9):.2f} ms",
             f"  cache     {self.cache_hits}/{self.succeeded} "
             "responses served from cache",
+            f"  connects  {self.connections} connection(s) opened",
         ]
         if self.shed:
             lines.append(
@@ -182,6 +192,11 @@ class LoadGenerator:
                     f"every payload must be a JSON object (dict), "
                     f"got {type(payload).__name__}: {payload!r}")
         self.url = url.rstrip("/")
+        parts = urlsplit(self.url)
+        if parts.scheme != "http" or not parts.hostname:
+            raise ValueError(f"url must be http://host[:port], got {url!r}")
+        self._address = (parts.hostname, parts.port)
+        self._path_prefix = parts.path
         self.payloads = materialised
         self.rate_rps = rate_rps
         self.n_requests = n_requests
@@ -189,26 +204,62 @@ class LoadGenerator:
         self.seed = seed
         self.timeout_s = timeout_s
         self.batch = batch
+        self._local = threading.local()       # one connection per thread
+        self._connects_lock = threading.Lock()
+        self._connects = 0
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's persistent connection, created on first use."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = http.client.HTTPConnection(
+                *self._address, timeout=self.timeout_s)
+            self._local.connection = connection
+        return connection
+
+    def _close_connection(self) -> None:
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            connection.close()
+            self._local.connection = None
 
     def _post_document(self, path: str, document: Dict
                        ) -> Tuple[bool, Optional[Dict], str, int]:
         body = json.dumps(document).encode()
-        request = Request(f"{self.url}{path}", data=body,
-                          headers={"Content-Type": "application/json"},
-                          method="POST")
-        try:
-            with urlopen(request, timeout=self.timeout_s) as response:
-                return True, json.loads(response.read()), "", 200
-        except HTTPError as exc:
+        target = self._path_prefix + path
+        for attempt in range(2):
+            connection = self._connection()
+            fresh = connection.sock is None
             try:
-                reason = json.loads(exc.read()).get("error", str(exc))
+                if fresh:
+                    connection.connect()
+                    with self._connects_lock:
+                        self._connects += 1
+                connection.request(
+                    "POST", target, body=body,
+                    headers={"Content-Type": "application/json"})
+                response = connection.getresponse()
+                raw = response.read()
+            except (http.client.HTTPException, OSError) as exc:
+                connection.close()
+                if (attempt == 0 and not fresh
+                        and not isinstance(exc, socket.timeout)):
+                    continue          # the kept-alive socket went stale
+                return False, None, f"{type(exc).__name__}: {exc}", 0
+            break
+        if response.status != 200:
+            try:
+                reason = json.loads(raw).get("error", response.reason)
             # error-body parsing is best-effort; keep the HTTP error.
             # The handler is anonymous by design: the reported label is
             # the HTTP status below, not this parsing failure
             except Exception:  # repro: noqa[EX001]
-                reason = str(exc)
-            return False, None, f"HTTP {exc.code}: {reason}", exc.code
-        except (URLError, OSError, ValueError) as exc:
+                reason = response.reason
+            return (False, None, f"HTTP {response.status}: {reason}",
+                    response.status)
+        try:
+            return True, json.loads(raw), "", 200
+        except ValueError as exc:
             return False, None, str(exc), 0
 
     def _post(self, payload: Dict) -> Tuple[bool, Optional[Dict], str, int]:
@@ -279,7 +330,7 @@ class LoadGenerator:
         counters = {"ok": 0, "failed": 0, "shed": 0, "cache_hits": 0}
         start = time.perf_counter()
 
-        def worker() -> None:
+        def drain() -> None:
             while True:
                 try:
                     arrival_us, group = work.get_nowait()
@@ -315,6 +366,12 @@ class LoadGenerator:
                             counters["failed"] += 1
                             errors[detail] = errors.get(detail, 0) + 1
 
+        def worker() -> None:
+            try:
+                drain()
+            finally:
+                self._close_connection()
+
         clients = [threading.Thread(target=worker, daemon=True)
                    for _ in range(self.threads)]
         for client in clients:
@@ -322,6 +379,8 @@ class LoadGenerator:
         for client in clients:
             client.join()
         elapsed = time.perf_counter() - start
+        with self._connects_lock:
+            connections, self._connects = self._connects, 0
         return LoadReport(url=self.url, offered_rps=self.rate_rps,
                           sent=self.n_requests, succeeded=counters["ok"],
                           failed=counters["failed"], elapsed_s=elapsed,
@@ -330,7 +389,8 @@ class LoadGenerator:
                           cache_hits=counters["cache_hits"],
                           failed_latencies_ms=tuple(failed_latencies),
                           shed=counters["shed"],
-                          shed_latencies_ms=tuple(shed_latencies))
+                          shed_latencies_ms=tuple(shed_latencies),
+                          connections=connections)
 
 
 # -- multi-process driving ---------------------------------------------------
@@ -377,6 +437,7 @@ def merge_reports(reports: List[LoadReport]) -> LoadReport:
         failed_latencies_ms=_concat("failed_latencies_ms"),
         shed=sum(report.shed for report in reports),
         shed_latencies_ms=_concat("shed_latencies_ms"),
+        connections=sum(report.connections for report in reports),
     )
 
 

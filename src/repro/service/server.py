@@ -22,14 +22,25 @@ hardened :class:`http.server.ThreadingHTTPServer`:
 A :class:`~repro.service.core.ServiceError` carrying a
 ``retry_after_s`` attribute (the frontend's load shedding) additionally
 answers with a ``Retry-After`` header.
+
+Connections are persistent HTTP/1.1: one client connection carries any
+number of requests until the client asks to close, sits idle for
+:data:`IDLE_TIMEOUT_S`, or sends a request the server cannot frame.
+Framing is strict so that a kept-alive connection never desyncs: every
+request body is read to exactly its ``Content-Length``, and a body
+that cannot be framed (no or malformed length, a ``Transfer-Encoding``,
+over :data:`~repro.service.protocol.MAX_FRAME_BYTES`, or shorter than
+declared) answers a typed 4xx and closes the connection.
 """
 
 from __future__ import annotations
 
 import json
+import socket
+import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.service.core import (          # noqa: F401 - compat re-exports
@@ -39,26 +50,73 @@ from repro.service.core import (          # noqa: F401 - compat re-exports
     ServiceError,
     _require,
 )
+from repro.service.protocol import MAX_FRAME_BYTES
+
+#: Seconds a connection may wait on its client (idle between requests,
+#: or stalled inside one) before the server closes it and frees the
+#: handler thread.
+IDLE_TIMEOUT_S = 30.0
 
 
 class _ThreadedServer(ThreadingHTTPServer):
     """ThreadingHTTPServer hardened for long-lived serving.
 
+    Each accepted connection gets one handler thread, which lives as
+    long as the connection: across every request it carries, and for
+    up to :data:`IDLE_TIMEOUT_S` of silence after the last one. The
+    thread count is therefore the number of open connections.
     ``daemon_threads`` keeps a stuck handler thread from hanging
     shutdown forever (the process exits; the kernel reaps the socket),
     and an explicit ``request_queue_size`` bounds the kernel accept
-    backlog even in single-worker mode — unaccepted connections queue
-    in the kernel, not in unbounded handler threads.
+    backlog — unaccepted connections queue in the kernel, not in
+    unbounded handler threads. ``server_close`` also shuts every open
+    connection, so a kept-alive client is not served past shutdown.
     """
 
     daemon_threads = True
     request_queue_size = 128
+
+    def __init__(self, *args, **kwargs) -> None:
+        self._lock = threading.Lock()
+        self._open: set = set()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address) -> None:
+        with self._lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._lock:
+            open_connections = list(self._open)
+        for connection in open_connections:
+            try:
+                # wakes the handler thread's read with EOF; its own
+                # shutdown_request then closes the socket
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
 
 
 class _Handler(BaseHTTPRequestHandler):
     """Routes HTTP verbs onto the service; JSON in, JSON out."""
 
     server_version = "repro-predict/1.0"
+    protocol_version = "HTTP/1.1"          # keep-alive by default
+    # TCP_NODELAY: a small reply must not wait on the client's delayed
+    # ACK (about 40 ms a reply on a kept-alive connection)
+    disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT_S
+
+    def setup(self) -> None:
+        super().setup()
+        self.service.metrics.increment("connections_total")
 
     @property
     def service(self):
@@ -68,7 +126,8 @@ class _Handler(BaseHTTPRequestHandler):
         pass                               # keep the server quiet in tests
 
     def _reply(self, status: int, document, content_type: str
-               = "application/json", retry_after_s=None) -> None:
+               = "application/json", retry_after_s=None,
+               close: bool = False) -> None:
         body = (document if isinstance(document, bytes)
                 else json.dumps(document).encode())
         self.send_response(status)
@@ -77,8 +136,48 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Retry-After", str(int(retry_after_s)))
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        if close:
+            self.send_header("Connection", "close")   # sets close_connection
+        # end_headers() plus the body as one write: a reply split over
+        # two small segments is the Nagle stall TCP_NODELAY guards
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
+
+    def _refuse(self, status: int, message: str) -> None:
+        """A framing error: answer it, then close the connection."""
+        self._reply(status, {"error": message}, close=True)
+
+    def _read_body(self, required: bool) -> Optional[bytes]:
+        """Exactly the declared body, or None once refused and closing.
+
+        The next request on a kept-alive connection starts where this
+        body ends, so a body whose end is not known for certain closes
+        the connection instead of being guessed at. A client that stalls
+        mid-body hits the idle timeout, which closes the connection.
+        """
+        if "Transfer-Encoding" in self.headers:
+            return self._refuse(411, "Transfer-Encoding is not supported; "
+                                     "send the body with a Content-Length")
+        lengths = self.headers.get_all("Content-Length") or []
+        if not lengths:
+            if required:
+                return self._refuse(411, "Content-Length is required")
+            return b""
+        declared = lengths[0].strip()
+        if (len(lengths) > 1 or not declared.isascii()
+                or not declared.isdigit()):
+            return self._refuse(400, "Content-Length must be one "
+                                     "non-negative integer, got "
+                                     f"{', '.join(lengths)!r}")
+        length = int(declared)
+        if length > MAX_FRAME_BYTES:
+            return self._refuse(413, f"body of {length} bytes exceeds the "
+                                     f"{MAX_FRAME_BYTES}-byte limit")
+        body = self.rfile.read(length)
+        if len(body) < length:
+            return self._refuse(400, f"body ended after {len(body)} of "
+                                     f"the {length} declared bytes")
+        return body
 
     def _instrumented(self, endpoint: str, handler) -> None:
         metrics = self.service.metrics
@@ -109,6 +208,8 @@ class _Handler(BaseHTTPRequestHandler):
                     retry_after_s=retry_after_s)
 
     def do_GET(self) -> None:              # noqa: N802 - stdlib signature
+        if self._read_body(required=False) is None:
+            return
         parsed = urlparse(self.path)
         if parsed.path == "/healthz":
             self._instrumented(
@@ -136,6 +237,11 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(404, {"error": f"no route for {parsed.path!r}"})
 
     def do_POST(self) -> None:             # noqa: N802 - stdlib signature
+        # the body is drained before routing: an unread body would be
+        # parsed as the next request on this connection
+        raw = self._read_body(required=True)
+        if raw is None:
+            return
         path = urlparse(self.path).path
         routes = {"/predict": ("predict", self.service.predict),
                   "/predict_batch": ("predict_batch",
@@ -147,8 +253,6 @@ class _Handler(BaseHTTPRequestHandler):
         endpoint, serve = routes[path]
 
         def handler() -> Tuple[int, Dict, str]:
-            length = int(self.headers.get("Content-Length", 0))
-            raw = self.rfile.read(length) if length else b""
             try:
                 payload = json.loads(raw or b"{}")
             except json.JSONDecodeError as exc:
@@ -175,6 +279,5 @@ def make_server(service_or_registry, host: str = "127.0.0.1",
     else:
         service = PredictionService(service_or_registry)
     server = _ThreadedServer((host, port), _Handler)
-    server.daemon_threads = True
     server.service = service
     return server

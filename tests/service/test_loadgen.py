@@ -1,5 +1,7 @@
 """LoadGenerator: payload validation, failure latencies, batch mode."""
 
+import time
+
 import pytest
 
 from repro.service.loadgen import (
@@ -45,6 +47,12 @@ class TestPayloadValidation:
         with pytest.raises(ValueError, match="JSON object"):
             _generator(payloads=["resnet50"])
 
+    @pytest.mark.parametrize("url", ["127.0.0.1:8100", "https://x",
+                                     "http://"])
+    def test_non_http_url_rejected(self, url):
+        with pytest.raises(ValueError, match="http://host"):
+            _generator(url=url)
+
     def test_single_dict_is_wrapped(self):
         generator = _generator(
             payloads={"model": "m", "network": "n", "batch_size": 1})
@@ -87,6 +95,7 @@ class TestFailureLatencies:
         assert report.failed == 4
         assert report.latencies_ms == ()
         assert len(report.failed_latencies_ms) == 2    # one per post
+        assert report.connections == 0                # none ever opened
         assert report.failed_latency_percentile_ms(50) >= 0
 
     def test_failed_posts_keep_their_latency_separately(self):
@@ -139,6 +148,50 @@ class TestBatchModeLive:
         assert report.latencies_ms == ()
         assert len(report.failed_latencies_ms) == 2
         assert any("item error 404" in reason for reason in report.errors)
+
+
+class TestPersistentConnections:
+    KW = {"model": "kw-a100", "network": "resnet50", "batch_size": 64}
+
+    def test_each_client_thread_keeps_one_connection(self, live_server):
+        url, service = live_server
+        report = LoadGenerator(url, [self.KW], rate_rps=10_000.0,
+                               n_requests=30, threads=2).run()
+        assert report.succeeded == 30
+        assert 1 <= report.connections <= 2
+        assert service.metrics.counter("connections_total") \
+            == report.connections
+        assert f"{report.connections} connection(s) opened" \
+            in report.render()
+
+    def test_stale_connection_reconnects_once(self, live_server,
+                                              monkeypatch):
+        from repro.service import server
+        monkeypatch.setattr(server._Handler, "timeout", 0.2)
+        url, service = live_server
+        generator = LoadGenerator(url, [self.KW], rate_rps=1.0,
+                                  n_requests=1)
+        assert generator._post(self.KW)[0] is True
+        # the server closes the idle connection; the next post finds
+        # the kept-alive socket dead and must reconnect, not fail
+        time.sleep(0.6)
+        ok, document, reason, status = generator._post(self.KW)
+        assert (ok, reason, status) == (True, "", 200)
+        assert document["cached"] is True
+        assert service.metrics.counter("connections_total") == 2
+        generator._close_connection()
+
+    def test_http_errors_keep_their_classification(self, live_server):
+        url, service = live_server
+        unknown = dict(self.KW, model="nope")
+        report = LoadGenerator(url, [unknown], rate_rps=10_000.0,
+                               n_requests=4, threads=1).run()
+        assert report.failed == 4
+        (reason,) = report.errors
+        assert reason.startswith("HTTP 404: unknown model")
+        # an error reply keeps the connection: no reconnect per failure
+        assert report.connections == 1
+        assert service.metrics.counter("connections_total") == 1
 
 
 class TestShedBucket:
@@ -201,7 +254,7 @@ class TestReportWireFormat:
             failed=1, elapsed_s=2.0, latencies_ms=(1.0, 2.0, 3.0),
             tier_counts={"kw": 3}, errors={"HTTP 500: boom": 1},
             cache_hits=1, failed_latencies_ms=(9.0,), shed=1,
-            shed_latencies_ms=(4.0,))
+            shed_latencies_ms=(4.0,), connections=2)
         restored = LoadReport.from_dict(report.to_dict())
         assert restored == report
 
@@ -264,6 +317,13 @@ class TestMergeReports:
         assert merged.failed_latencies_ms == (9.0,)
         assert merged.tier_counts == {"kw": 3, "lw": 1}
         assert merged.errors == {"HTTP 500: boom": 1}
+
+    def test_connections_sum(self):
+        left = self._report([1.0])
+        left.connections = 2
+        right = self._report([2.0])
+        right.connections = 3
+        assert merge_reports([left, right]).connections == 5
 
     def test_merge_of_one_is_identity(self):
         report = self._report([1.0, 2.0], tier_counts={"kw": 2})

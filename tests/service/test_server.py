@@ -1,6 +1,11 @@
-"""HTTP integration tests: a live server, concurrent clients, loadgen."""
+"""HTTP integration tests: a live server, concurrent clients, loadgen,
+and the connection contract (keep-alive, idle timeout, strict framing)."""
 
+import http.client
 import json
+import socket
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from urllib.error import HTTPError
 from urllib.request import Request, urlopen
@@ -8,6 +13,14 @@ from urllib.request import Request, urlopen
 import pytest
 
 from repro.cli import main
+from repro.service import (
+    ModelRegistry,
+    PredictionCache,
+    PredictionService,
+    make_server,
+)
+from repro.service import server as server_module
+from repro.service.frontend import ScaledServer
 
 
 def _get(url: str):
@@ -214,3 +227,343 @@ class TestServeCli:
                      "--port", "0"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+# -- the connection contract: keep-alive, idle timeout, strict framing -------
+
+#: The idle timeout the connection tests run under (the module constant
+#: is 30 s; a short one keeps the timeout tests fast).
+TEST_IDLE_TIMEOUT_S = 1.0
+#: Well short of the idle timeout: a connection that closes within this
+#: window after its last reply closed on purpose, not at the timeout.
+PROMPT_S = 0.5
+
+KW = {"model": "kw-a100", "network": "resnet50", "batch_size": 64}
+LW = {"model": "lw-a100", "network": "vgg11", "batch_size": 64}
+
+
+class _Deployment:
+    """One HTTP front under test: address plus the metrics it counts in."""
+
+    def __init__(self, address, metrics) -> None:
+        self.host, self.port = address[:2]
+        self.metrics = metrics
+
+    def connections(self) -> int:
+        return self.metrics.counter("connections_total")
+
+    def connect(self) -> socket.socket:
+        sock = socket.create_connection((self.host, self.port), timeout=10)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock
+
+
+def _in_process(models_dir):
+    service = PredictionService(ModelRegistry(models_dir),
+                                cache=PredictionCache(256))
+    httpd = make_server(service, port=0)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+
+    def stop():
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=5)
+    return _Deployment(httpd.server_address, service.metrics), stop
+
+
+def _scaled(models_dir):
+    scaled = ScaledServer(models_dir, workers=2, max_queue_depth=64)
+    address = scaled.serve_in_thread()
+    return _Deployment(address, scaled.service.metrics), scaled.shutdown
+
+
+DEPLOYMENTS = {"in-process": _in_process, "scaled": _scaled}
+
+
+@pytest.fixture(scope="module", params=sorted(DEPLOYMENTS))
+def front(request, models_dir):
+    """Each HTTP front, serving under the short test idle timeout."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(server_module._Handler, "timeout",
+                      TEST_IDLE_TIMEOUT_S)
+        deployment, stop = DEPLOYMENTS[request.param](models_dir)
+        try:
+            yield deployment
+        finally:
+            stop()
+
+
+def _request(method: str, path: str, body: bytes = b"",
+             headers: str = "", version: str = "HTTP/1.1") -> bytes:
+    head = f"{method} {path} {version}\r\nHost: test\r\n{headers}"
+    if body:
+        head += f"Content-Length: {len(body)}\r\n"
+    return head.encode() + b"\r\n" + body
+
+
+def _post_bytes(path: str, payload, headers: str = "") -> bytes:
+    return _request("POST", path, json.dumps(payload).encode(), headers)
+
+
+def _read_reply(rfile):
+    """(status, headers, body) of the next reply, or None at EOF."""
+    status_line = rfile.readline()
+    if not status_line:
+        return None
+    status = int(status_line.split()[1])
+    headers = {}
+    for line in iter(rfile.readline, b"\r\n"):
+        name, _, value = line.decode().partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = rfile.read(int(headers["content-length"]))
+    return status, headers, body
+
+
+def _replies_until_close(sock, deadline_s: float):
+    """Every reply on ``sock``, and the seconds from the last reply (or
+    from the call, when there was none) until the server closed."""
+    sock.settimeout(deadline_s)
+    rfile = sock.makefile("rb")
+    replies = []
+    while True:
+        last = time.monotonic()
+        reply = _read_reply(rfile)
+        if reply is None:
+            return replies, time.monotonic() - last
+        replies.append(reply)
+
+
+class TestKeepAlive:
+    def test_posts_share_one_connection_without_nagle_stall(self, front):
+        """The Nagle guard: with TCP_NODELAY or the one-write reply gone,
+        every reply on a kept-alive connection waits ~40 ms for the
+        client's delayed ACK."""
+        connection = http.client.HTTPConnection(front.host, front.port,
+                                                timeout=10)
+        before = front.connections()
+        latencies_ms = []
+        try:
+            for _ in range(21):
+                started = time.perf_counter()
+                connection.request("POST", "/predict",
+                                   body=json.dumps(KW).encode())
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["network"] == "resnet50"
+                latencies_ms.append((time.perf_counter() - started) * 1e3)
+        finally:
+            connection.close()
+        assert front.connections() - before == 1
+        cached = sorted(latencies_ms[1:])      # the first one computes
+        assert cached[len(cached) // 2] < 15.0
+        assert sum(ms >= 35.0 for ms in cached) <= 2
+
+    def test_pipelined_requests_answer_in_order(self, front):
+        sock = front.connect()
+        try:
+            sock.sendall(_post_bytes("/predict", KW)
+                         + _post_bytes("/predict", LW,
+                                       "Connection: close\r\n"))
+            replies, _ = _replies_until_close(sock, 10)
+        finally:
+            sock.close()
+        assert [status for status, _, _ in replies] == [200, 200]
+        assert [json.loads(body)["network"] for _, _, body in replies] \
+            == ["resnet50", "vgg11"]
+
+    def test_404_post_drains_its_body(self, front):
+        """An unread 404 body would be parsed as the next request."""
+        sock = front.connect()
+        try:
+            sock.sendall(_post_bytes("/nope", KW)
+                         + _post_bytes("/predict", KW,
+                                       "Connection: close\r\n"))
+            replies, _ = _replies_until_close(sock, 10)
+        finally:
+            sock.close()
+        assert [status for status, _, _ in replies] == [404, 200]
+        assert json.loads(replies[1][2])["predicted_us"] > 0
+
+    @pytest.mark.parametrize("request_bytes", [
+        _post_bytes("/predict", KW, "Connection: close\r\n"),
+        _request("POST", "/predict", json.dumps(KW).encode(),
+                 version="HTTP/1.0"),
+        _request("GET", "/healthz", version="HTTP/1.0"),
+    ], ids=["connection-close", "http-1.0-post", "http-1.0-get"])
+    def test_close_requests_still_close(self, front, request_bytes):
+        sock = front.connect()
+        try:
+            sock.sendall(request_bytes)
+            replies, seconds = _replies_until_close(sock, 10)
+        finally:
+            sock.close()
+        assert [status for status, _, _ in replies] == [200]
+        assert seconds < PROMPT_S
+
+    def test_idle_connection_closes_and_frees_its_thread(self, front,
+                                                         monkeypatch):
+        handler_threads = []
+        setup = server_module._Handler.setup
+
+        def recording_setup(handler):
+            handler_threads.append(threading.current_thread())
+            setup(handler)
+
+        monkeypatch.setattr(server_module._Handler, "setup",
+                            recording_setup)
+        sock = front.connect()
+        try:
+            sock.sendall(_post_bytes("/predict", KW))
+            replies, seconds = _replies_until_close(
+                sock, TEST_IDLE_TIMEOUT_S + 10)
+        finally:
+            sock.close()
+        assert [status for status, _, _ in replies] == [200]
+        assert TEST_IDLE_TIMEOUT_S - 0.1 <= seconds < TEST_IDLE_TIMEOUT_S + 5
+        (thread,) = handler_threads
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+    def test_metrics_expose_connections_total(self, front):
+        before = front.connections()
+        for _ in range(2):
+            sock = front.connect()
+            try:
+                sock.sendall(_request("GET", "/metrics",
+                                      headers="Connection: close\r\n"))
+                ((status, _, body),), _ = _replies_until_close(sock, 10)
+            finally:
+                sock.close()
+            assert status == 200
+        assert json.loads(body)["counters"]["connections_total"] \
+            >= before + 2
+
+
+class TestStrictFraming:
+    """Every malformed body gets a typed 4xx and a closed connection.
+
+    A trailing valid request rides along in the same write: it must
+    never be answered, because the server cannot know where it starts.
+    """
+
+    TRAILER = _post_bytes("/predict", KW)
+
+    @pytest.mark.parametrize("request_bytes,status", [
+        (b"POST /predict HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+        (b"POST /predict HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+        (b"POST /predict HTTP/1.1\r\nContent-Length: +2\r\n\r\n{}", 400),
+        (b"POST /predict HTTP/1.1\r\nContent-Length: 2\r\n"
+         b"Content-Length: 3\r\n\r\n{}", 400),
+        (b"POST /predict HTTP/1.1\r\n"
+         b"Content-Length: 1000000000000\r\n\r\n", 413),
+        (b"POST /predict HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+         % (server_module.MAX_FRAME_BYTES + 1), 413),
+        (b"POST /predict HTTP/1.1\r\n\r\n", 411),
+        (b"POST /nope HTTP/1.1\r\n\r\n", 411),
+        (b"POST /predict HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+         b"2\r\n{}\r\n0\r\n\r\n", 411),
+        (b"GET /healthz HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+         b"0\r\n\r\n", 411),
+        (b"GET /healthz HTTP/1.1\r\nContent-Length: x\r\n\r\n", 400),
+    ], ids=["negative", "non-integer", "signed", "duplicate", "huge",
+            "over-frame-cap", "missing", "missing-404",
+            "transfer-encoding", "get-transfer-encoding",
+            "get-non-integer"])
+    def test_unframeable_request_is_refused_and_closed(
+            self, front, request_bytes, status):
+        sock = front.connect()
+        try:
+            sock.sendall(request_bytes + self.TRAILER)
+            replies, seconds = _replies_until_close(sock, 10)
+        finally:
+            sock.close()
+        assert [reply[0] for reply in replies] == [status]
+        _, headers, body = replies[0]
+        assert headers["connection"] == "close"
+        assert "error" in json.loads(body)
+        assert seconds < PROMPT_S
+
+    def test_short_body_then_half_close_is_400(self, front):
+        """The truncation ``{}`` is valid JSON: it must not be served."""
+        sock = front.connect()
+        try:
+            sock.sendall(b"POST /predict HTTP/1.1\r\n"
+                         b"Content-Length: 40\r\n\r\n{}")
+            sock.shutdown(socket.SHUT_WR)
+            replies, _ = _replies_until_close(sock, 10)
+        finally:
+            sock.close()
+        assert [reply[0] for reply in replies] == [400]
+        assert "2 of the 40" in json.loads(replies[0][2])["error"]
+
+    def test_short_body_with_client_waiting_closes_at_idle_timeout(
+            self, front):
+        sock = front.connect()
+        try:
+            sock.sendall(b"POST /predict HTTP/1.1\r\n"
+                         b"Content-Length: 40\r\n\r\n{}")
+            replies, seconds = _replies_until_close(
+                sock, TEST_IDLE_TIMEOUT_S + 10)
+        finally:
+            sock.close()
+        assert replies == []
+        assert TEST_IDLE_TIMEOUT_S - 0.1 <= seconds < TEST_IDLE_TIMEOUT_S + 5
+
+    def test_framing_errors_never_count_as_requests(self, front):
+        before = front.metrics.counter("requests_predict_total")
+        sock = front.connect()
+        try:
+            sock.sendall(b"POST /predict HTTP/1.1\r\n"
+                         b"Content-Length: abc\r\n\r\n")
+            _replies_until_close(sock, 10)
+        finally:
+            sock.close()
+        assert front.metrics.counter("requests_predict_total") == before
+
+
+class TestKeepAliveParity:
+    def test_kept_alive_bytes_match_across_deployments(self, models_dir):
+        """The parity corpus over one kept-alive connection per
+        deployment: statuses and bodies match byte for byte."""
+        from tests.service.test_scaleout import BATCH_CORPUS, PREDICT_CORPUS
+
+        answers = {}
+        for name, start in sorted(DEPLOYMENTS.items()):
+            deployment, stop = start(models_dir)
+            connection = http.client.HTTPConnection(
+                deployment.host, deployment.port, timeout=60)
+            replies = []
+            try:
+                for path, corpus in (("/predict", PREDICT_CORPUS),
+                                     ("/predict_batch", BATCH_CORPUS)):
+                    for payload in corpus:
+                        connection.request(
+                            "POST", path, body=json.dumps(payload).encode(),
+                            headers={"Content-Type": "application/json"})
+                        response = connection.getresponse()
+                        replies.append((response.status, response.read()))
+                assert deployment.connections() == 1
+            finally:
+                connection.close()
+                stop()
+            answers[name] = replies
+        assert answers["in-process"] == answers["scaled"]
+
+
+class TestShutdown:
+    def test_server_close_ends_kept_alive_connections(self, models_dir):
+        deployment, stop = _in_process(models_dir)
+        sock = deployment.connect()
+        try:
+            sock.sendall(_post_bytes("/predict", KW))
+            rfile = sock.makefile("rb")
+            assert _read_reply(rfile)[0] == 200
+            started = time.monotonic()
+            stop()
+            # the connection is not idle-timed out (30 s here): the
+            # server closed it on its way down
+            assert _read_reply(rfile) is None
+            assert time.monotonic() - started < 5
+        finally:
+            sock.close()
