@@ -34,7 +34,9 @@ cross-checks:
          returns exactly what the scalar ``evaluate`` returns point by
          point — single-target plans broadcast their one value, and a
          retargetable plan's numpy grid replays the scalar arithmetic
-         bit-for-bit across heterogeneous targets. (Shares CT007's
+         bit-for-bit across heterogeneous targets, its one-target
+         ``price`` pass returning each grid point's (total, fallback
+         share) pair exactly. (Shares CT007's
          trained campaign, so it too runs only on the full sweep.)
 - CT010  every placement policy in the fleet registry
          (:func:`repro.fleet.policy_names`) is exercised by the
@@ -46,8 +48,7 @@ cross-checks:
          (:mod:`repro.core.planopt`) never change a number: a plan
          round-tripped through a persisted bundle — line pool interning,
          lowering-matrix adoption, fused fallback warm-up — evaluates
-         bit-exactly equal to the freshly compiled plan, a single-target
-         ``constant_fold`` replays ``bind``'s arithmetic, and a bundle
+         bit-exactly equal to the freshly compiled plan, and a bundle
          whose model file changed underneath is refused outright.
          (Shares CT007's trained campaign, so it runs only on the full
          sweep.)
@@ -252,7 +253,9 @@ def _check_plan_parity(networks: Dict[str, object], batch_size: int,
     equality (CT007). The igkw comparison goes through ``for_gpu`` on a
     GPU the campaign never measured. The same compiled plans then feed
     CT009: ``evaluate_many`` over a target grid must reproduce the
-    scalar ``evaluate`` point by point, bit-exactly.
+    scalar ``evaluate`` point by point, and a retargetable plan's
+    ``price`` must reproduce ``evaluate_grid``'s (total, share) pairs,
+    bit-exactly.
     """
     from repro import zoo
     from repro.core.workflow import train_inter_gpu_model, train_model
@@ -300,6 +303,11 @@ def _check_plan_parity(networks: Dict[str, object], batch_size: int,
     def batch_parity(kind: str, plan) -> Optional[str]:
         """CT009 for one plan: mismatch description, or None when exact."""
         if kind == "igkw":
+            # the scalar pass prices (total, share) exactly as the grid
+            priced = [plan.price(point) for point in grid]
+            gridded = list(zip(*plan.evaluate_grid(grid)))
+            if priced != gridded:  # repro: noqa[FP001]
+                return f"price {priced!r} != evaluate_grid {gridded!r}"
             scalar = [plan.evaluate(gpu=point) for point in grid]
             batch = plan.evaluate_many(grid)
         else:
@@ -352,9 +360,8 @@ def _check_aot_parity(models: Dict[str, object],
     over the same zoo networks, reloads the bundles (which installs the
     persisted lowering matrices and fuses the fallback lines), and
     compares every loaded plan's evaluation against the freshly
-    compiled plan with exact float equality. Also checks that a
-    single-target ``constant_fold`` replays ``bind``'s arithmetic and
-    that a bundle whose model bytes changed underneath is refused.
+    compiled plan with exact float equality. Also checks that a bundle
+    whose model bytes changed underneath is refused.
     """
     import json as json_mod
     import tempfile
@@ -391,20 +398,6 @@ def _check_aot_parity(models: Dict[str, object],
                         sink.record(
                             "CT011", f"{name}/{kind}",
                             f"AOT plan {revived!r} != fresh {expected!r}")
-            # constant_fold: one distinct target folds to bind(), which
-            # the plan contract already pins bit-exact to evaluate(gpu=)
-            point = grid[0]
-            for name in networks:
-                fresh = fresh_plans.get((name, "igkw"))
-                if fresh is None:
-                    continue
-                folded = planopt.constant_fold(fresh, [point, point])
-                value = folded.evaluate()
-                expected = fresh.evaluate(gpu=point)
-                if value != expected:  # repro: noqa[FP001]
-                    sink.record("CT011", f"{name}/igkw",
-                                f"constant_fold {value!r} != bind path "
-                                f"{expected!r}")
             # provenance: flip one byte of a model file and the bundle
             # must be refused, not served
             path = Path(scratch) / "e2e.json"

@@ -16,8 +16,9 @@ compiler-style predictors (ANNETTE's "model lowering" step):
   resolution, and the references to the regression lines that will price
   each term;
 - ``plan.evaluate()`` (or ``plan.evaluate(gpu=...)`` for the retargetable
-  inter-GPU plan) is a tight loop over pre-resolved
-  ``(feature_value, LinearFit)`` pairs.
+  inter-GPU plan, whose ``price(gpu)`` also returns the fallback share)
+  is a tight loop over pre-resolved ``(feature_value, LinearFit)``
+  pairs.
 
 Evaluation is **bit-exact** with the direct path: each plan preserves the
 same per-layer accumulation structure (float addition is not
@@ -39,6 +40,10 @@ import numpy as np
 from repro.core.coverage import FALLBACK, CoverageReport, LayerCoverage
 from repro.core.linreg import LinearFit
 from repro.gpu.specs import GPUSpec
+
+
+_NEEDS_TARGET = ("this plan is retargetable; pass evaluate(gpu=<GPUSpec>) "
+                 "or bind(target) first")
 
 
 class PredictionPlan(abc.ABC):
@@ -71,9 +76,8 @@ class PredictionPlan(abc.ABC):
         Bit-compatible with calling :meth:`evaluate` per target.
         Single-GPU plans ignore the targets entirely — their answer is
         target-independent, so the grid is one scalar evaluation
-        broadcast over ``len(gpus)``. The retargetable plan overrides
-        this with numpy matrix ops whose elementwise IEEE operations
-        and accumulation order match its scalar path.
+        broadcast over ``len(gpus)``. The retargetable plan delegates
+        to its vectorised ``evaluate_grid``.
         """
         return [self.evaluate()] * len(list(gpus))
 
@@ -257,10 +261,12 @@ class RetargetableLayer:
 class RetargetablePlan(PredictionPlan):
     """IGKW lowering: structure resolved once, lines synthesised per GPU.
 
-    ``bind(target)`` synthesises each distinct kernel's regression line
-    for the target (exactly once per kernel name, matching ``for_gpu``)
-    and returns a fully-resolved :class:`KernelPlan`. ``evaluate`` and
-    ``coverage`` require a target GPU.
+    Pricing one target synthesises each distinct kernel's regression
+    line for it (exactly once per kernel name, matching ``for_gpu``).
+    ``price(target)`` then sums the plan in one pass; ``bind(target)``
+    instead returns a fully-resolved :class:`KernelPlan` for the
+    degradation tiers; ``evaluate_grid`` prices many targets at once.
+    ``evaluate`` and ``coverage`` require a target GPU.
     """
 
     def __init__(self, model_name: str, network_name: str, batch_size: int,
@@ -277,6 +283,10 @@ class RetargetablePlan(PredictionPlan):
         self._used_kernels = tuple(sorted(
             {name for layer in self.layers if layer.kernel_terms
              for name, _ in layer.kernel_terms}))
+        # the layer an untrained or missing LW fallback is reported on
+        self._first_fallback = next(
+            (layer for layer in self.layers if layer.kernel_terms is None),
+            None)
         self._batch: Optional[_BatchLowering] = None
         self._fallback_fits: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
@@ -324,21 +334,10 @@ class RetargetablePlan(PredictionPlan):
 
     def bind(self, target: GPUSpec) -> KernelPlan:
         """Resolve this plan's lines for one target GPU."""
-        metric_value = self._metric_value(target)
-        lines: Dict[str, LinearFit] = {
-            name: self._transfers[name].line_for_bandwidth(metric_value)
-            for name in self._used_kernels}
-        lw = self._nearest_lw(target)
+        lines, lw = self._resolve(target)
         layers = []
         for layer in self.layers:
             if layer.kernel_terms is None:
-                if lw is None:
-                    raise KeyError(
-                        f"no kernel mapping for layer {layer.layer_name!r} "
-                        f"({layer.kind}) and no layer-wise fallback "
-                        "configured")
-                if lw.fallback is None:
-                    raise RuntimeError("LayerWiseModel is not trained")
                 fit = lw.fits.get(layer.kind, lw.fallback)
                 layers.append(PlanLayer(
                     layer.layer_name, layer.kind, layer.signature,
@@ -353,12 +352,47 @@ class RetargetablePlan(PredictionPlan):
                           self.network_name, self.batch_size,
                           tuple(layers), lw_model=lw)
 
+    def price(self, target: GPUSpec) -> Tuple[float, float]:
+        """(predicted us, fallback time share) for one target, one pass.
+
+        The scalar twin of :meth:`evaluate_grid`: no KernelPlan is
+        materialised, yet the accumulation is ``bind(target)``'s —
+        per-layer clamped kernel sums, then an outer sum over layers in
+        graph order — so the pair is bit-exact with
+        ``bind(target).evaluate()`` and
+        ``bind(target).fallback_time_share()``.
+        """
+        lines, lw = self._resolve(target)
+        total = 0.0
+        fallback = 0.0
+        for layer in self.layers:
+            if layer.kernel_terms is None:
+                time_us = lw.fits.get(layer.kind, lw.fallback).predict(
+                    layer.flops)
+                fallback += time_us
+            else:
+                time_us = 0.0
+                for name, value in layer.kernel_terms:
+                    # the PlanLayer clamp: a kernel never takes negative
+                    # time, however far the synthesised line extrapolates
+                    time_us += max(0.0, lines[name].predict(value))
+            total += time_us
+        return total, (0.0 if total == 0 else fallback / total)
+
+    def _resolve(self, target: GPUSpec
+                 ) -> Tuple[Dict[str, LinearFit], object]:
+        """The target's synthesised lines and its checked LW fallback."""
+        metric_value = self._metric_value(target)
+        lines = {name: self._transfers[name].line_for_bandwidth(metric_value)
+                 for name in self._used_kernels}
+        return lines, self._target_lw(target)
+
     def _metric_value(self, target: GPUSpec) -> float:
         """The target's driver metric, checked once per target.
 
         Line synthesis divides by it, so a non-positive or non-finite
-        value is rejected here: ``bind``, ``evaluate`` and the grid
-        path raise the same ``ValueError`` for it instead of pricing a
+        value is rejected here: ``bind``, ``price`` and the grid path
+        raise the same ``ValueError`` for it instead of pricing a
         silently wrong time.
         """
         value = self._metric(target)
@@ -378,38 +412,28 @@ class RetargetablePlan(PredictionPlan):
                                         - target.bandwidth_gbs))
         return self._lw_by_gpu[nearest.name]
 
+    def _target_lw(self, target: GPUSpec):
+        """The target's layer-wise fallback, checked before any pricing.
+
+        A plan with an unmapped layer cannot be priced without a trained
+        fallback, so ``bind``, ``price`` and the grid path all raise the
+        same error from here.
+        """
+        lw = self._nearest_lw(target)
+        layer = self._first_fallback
+        if layer is not None:
+            if lw is None:
+                raise KeyError(
+                    f"no kernel mapping for layer {layer.layer_name!r} "
+                    f"({layer.kind}) and no layer-wise fallback configured")
+            if lw.fallback is None:
+                raise RuntimeError("LayerWiseModel is not trained")
+        return lw
+
     def evaluate(self, gpu: Optional[GPUSpec] = None) -> float:
         if gpu is None:
-            raise TypeError(
-                "this plan is retargetable; pass evaluate(gpu=<GPUSpec>) "
-                "or bind(target) first")
-        # fast path: price the terms directly instead of materialising a
-        # KernelPlan per target. The accumulation order is identical to
-        # bind(gpu).evaluate() — per-layer clamped kernel sums, then an
-        # outer sum over layers — so the result is bit-exact with it.
-        metric_value = self._metric_value(gpu)
-        lines: Dict[str, LinearFit] = {
-            name: self._transfers[name].line_for_bandwidth(metric_value)
-            for name in self._used_kernels}
-        lw = self._nearest_lw(gpu)
-        times = []
-        for layer in self.layers:
-            if layer.kernel_terms is None:
-                if lw is None:
-                    raise KeyError(
-                        f"no kernel mapping for layer {layer.layer_name!r} "
-                        f"({layer.kind}) and no layer-wise fallback "
-                        "configured")
-                if lw.fallback is None:
-                    raise RuntimeError("LayerWiseModel is not trained")
-                fit = lw.fits.get(layer.kind, lw.fallback)
-                times.append(fit.predict(layer.flops))
-                continue
-            total = 0.0
-            for name, value in layer.kernel_terms:
-                total += max(0.0, lines[name].predict(value))
-            times.append(total)
-        return sum(times)
+            raise TypeError(_NEEDS_TARGET)
+        return self.price(gpu)[0]
 
     def _lowering(self) -> _BatchLowering:
         if self._batch is None:
@@ -493,16 +517,7 @@ class RetargetablePlan(PredictionPlan):
         if lowering.fallback_idx.size:
             by_lw: Dict[int, Tuple[object, List[int]]] = {}
             for point, target in enumerate(targets):
-                lw = self._nearest_lw(target)
-                if lw is None:
-                    name = self.layers[lowering.fallback_idx[0]].layer_name
-                    kind = self.layers[lowering.fallback_idx[0]].kind
-                    raise KeyError(
-                        f"no kernel mapping for layer {name!r} "
-                        f"({kind}) and no layer-wise fallback "
-                        "configured")
-                if lw.fallback is None:
-                    raise RuntimeError("LayerWiseModel is not trained")
+                lw = self._target_lw(target)
                 by_lw.setdefault(id(lw), (lw, []))[1].append(point)
             for lw, points in by_lw.values():
                 fit_slopes, fit_intercepts = (
@@ -516,26 +531,7 @@ class RetargetablePlan(PredictionPlan):
 
     def evaluate_many(self, gpus: Sequence[Optional[GPUSpec]]
                       ) -> List[float]:
-        """Vectorised grid evaluation, bit-exact with per-target evaluate.
-
-        Raises the same exceptions scalar :meth:`evaluate` would raise
-        for the first offending target (``TypeError`` on a missing
-        target, ``KeyError``/``RuntimeError`` on a missing layer-wise
-        fallback) — but for the whole grid at once.
-        """
-        targets = list(gpus)
-        if not targets:
-            return []
-        if any(target is None for target in targets):
-            raise TypeError(
-                "this plan is retargetable; pass evaluate(gpu=<GPUSpec>) "
-                "or bind(target) first")
-        layer_times = self._layer_times(targets)
-        total = np.zeros(len(targets))
-        # sequential over layers, matching the scalar sum(times)
-        for row in layer_times:
-            total = total + row
-        return [float(t) for t in total]
+        return self.evaluate_grid(gpus)[0]
 
     def evaluate_grid(self, gpus: Sequence[GPUSpec]
                       ) -> Tuple[List[float], List[float]]:
@@ -552,9 +548,7 @@ class RetargetablePlan(PredictionPlan):
         if not targets:
             return [], []
         if any(target is None for target in targets):
-            raise TypeError(
-                "this plan is retargetable; pass evaluate(gpu=<GPUSpec>) "
-                "or bind(target) first")
+            raise TypeError(_NEEDS_TARGET)
         layer_times = self._layer_times(targets)
         lowering = self._lowering()
         total = np.zeros(len(targets))

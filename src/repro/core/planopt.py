@@ -9,11 +9,9 @@ entirely:
   referenced by different layers and different networks are interned
   into one :class:`LinePool` (the zoo's networks share most of their
   kernels, so the pool is far smaller than the sum of term references);
-  a retargetable plan asked for exactly one target is constant-folded
-  into a fully-bound :class:`~repro.core.plan.KernelPlan`
-  (:func:`constant_fold`); and the per-plan, per-LayerWiseModel
-  fallback line caches are fused into one matrix per model from which
-  every plan gathers its rows (:class:`FallbackLinePool`).
+  and the per-plan, per-LayerWiseModel fallback line caches are fused
+  into one matrix per model from which every plan gathers its rows
+  (:class:`FallbackLinePool`).
 - **An AOT compile store**: :func:`compile_store` lowers every
   (model, network, batch) combination once and persists the optimized
   plans — including the retargetable plans' batch-lowering matrices —
@@ -176,24 +174,6 @@ class LayerBodyPool:
 
 
 # -- optimizer passes ---------------------------------------------------------
-
-def constant_fold(plan: PredictionPlan, targets: Sequence) -> PredictionPlan:
-    """Fold a retargetable plan bound for exactly one known target.
-
-    When every target in ``targets`` is the same GPU, the per-call line
-    synthesis of ``evaluate(gpu=...)`` is constant — ``bind`` resolves
-    it once and the returned :class:`~repro.core.plan.KernelPlan`
-    evaluates the identical arithmetic with no per-call work. Plans
-    that are not retargetable, or target sets that are not singular,
-    are returned unchanged.
-    """
-    if not isinstance(plan, RetargetablePlan):
-        return plan
-    distinct = {(t.name, t.bandwidth_gbs) for t in targets}
-    if len(distinct) != 1:
-        return plan
-    return plan.bind(list(targets)[0])
-
 
 class FallbackLinePool:
     """One fused fallback-line matrix per LayerWiseModel.

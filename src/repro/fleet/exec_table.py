@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.core.base import PerformanceModel
 from repro.core.intergpu import InterGPUKernelWiseModel
-from repro.core.planopt import constant_fold
 from repro.gpu.specs import GPUSpec
 from repro.nn.graph import Network
 
@@ -144,11 +143,9 @@ class ExecTable:
                     if plan is None:
                         plan = model.compile(network, batch)
                     if len(specs) == 1:
-                        # single-type fleet: constant-fold the bind so
-                        # the grid machinery is skipped (bit-exact per
-                        # the bind/evaluate contract)
-                        times[n, 0, batch] = constant_fold(
-                            plan, specs).evaluate(gpu=specs[0])
+                        # single-type fleet: one scalar pass skips the
+                        # grid machinery (bit-exact with evaluate_grid)
+                        times[n, 0, batch] = plan.evaluate(gpu=specs[0])
                     else:
                         grid, _ = plan.evaluate_grid(specs)
                         times[n, :, batch] = grid

@@ -205,6 +205,26 @@ class PredictionService:
         self._count_outcome(outcome)
         return outcome
 
+    def _igkw_outcome(self, plan, target, network, batch_size: int,
+                      total_us: float, share: float,
+                      vectorized: bool = False) -> PredictionOutcome:
+        """One igkw miss, given the target's priced (total, share).
+
+        At or below the coverage threshold the kw tier would answer with
+        exactly ``total_us`` — the priced total is bit-exact with
+        ``bind(target).evaluate()`` and the share gate is the comparison
+        the tier applies — so no KernelPlan is bound. Only a degraded
+        miss binds one and runs the fallback chain. ``vectorized``
+        marks a total read off a batch's ``evaluate_grid`` pass.
+        """
+        if share <= self.coverage_threshold:
+            outcome = PredictionOutcome(total_us, "kw", (("kw", None),))
+            if vectorized:
+                self.metrics.increment("batch_vectorized_items_total")
+            self._count_outcome(outcome)
+            return outcome
+        return self._run_chain(plan.bind(target), network, batch_size)
+
     def _count_outcome(self, outcome: PredictionOutcome) -> None:
         self.metrics.increment(f"tier_{outcome.tier}_total")
         if outcome.degraded:
@@ -250,11 +270,10 @@ class PredictionService:
         if entry.kind == "igkw":
             target = self._resolve_igkw_target(model_name, gpu_name,
                                                bandwidth)
-            request_plan = plan.bind(target)
+            outcome = self._igkw_outcome(plan, target, network, batch_size,
+                                         *plan.price(target))
         else:
-            request_plan = plan
-
-        outcome = self._run_chain(request_plan, network, batch_size)
+            outcome = self._run_chain(plan, network, batch_size)
         response = self._response_for(entry, request, outcome)
         self.cache.put(key, response)
         return dict(response, cached=False, plan_cached=plan_cached)
@@ -408,8 +427,8 @@ class PredictionService:
             times, shares = plan.evaluate_grid(
                 [target for *_, target in resolved])
         except Exception as exc:  # repro: noqa[EX001]
-            # grid failure degrades to the per-item slow path below; the
-            # label keeps the original exception type
+            # grid failure degrades to pricing each item on its own
+            # below; the label keeps the original exception type
             self.metrics.increment(
                 f"batch_grid_errors_{type(exc).__name__}_total")
             times = shares = None
@@ -423,19 +442,12 @@ class PredictionService:
                                              plan_cached=True)
                     self.metrics.increment("batch_cache_hits_total")
                     continue
-                if (times is not None
-                        and shares[index] <= self.coverage_threshold):
-                    # the kw tier would answer with exactly this value:
-                    # the grid time is bit-exact with
-                    # bind(target).coverage().total_us, and the share
-                    # gate is the same comparison the tier applies
-                    outcome = PredictionOutcome(
-                        times[index], "kw", (("kw", None),))
-                    self.metrics.increment("batch_vectorized_items_total")
-                    self._count_outcome(outcome)
-                else:
-                    outcome = self._run_chain(plan.bind(target), network,
-                                              batch_size)
+                vectorized = times is not None
+                total, share = ((times[index], shares[index]) if vectorized
+                                else plan.price(target))
+                outcome = self._igkw_outcome(plan, target, network,
+                                             batch_size, total, share,
+                                             vectorized)
                 response = self._response_for(entry, request, outcome)
                 self.cache.put(key, response)
                 computed[key] = response

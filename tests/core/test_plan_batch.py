@@ -20,6 +20,7 @@ from repro.core import (
     train_model,
 )
 from repro.core.intergpu import KernelTransfer
+from repro.core.layerwise import LayerWiseModel
 from repro.core.linreg import LinearFit
 from repro.gpu import gpu
 
@@ -118,20 +119,48 @@ class TestEvaluateGrid:
         assert shares == [bound_share]
 
 
+def _fallback_plan(plan, lw_by_gpu):
+    """``plan`` with every layer forced onto the layer-wise fallback."""
+    return type(plan)(
+        plan.model_name, plan.network_name, plan.batch_size,
+        [type(layer)(layer.layer_name, layer.kind, layer.signature,
+                     "layer-wise-fallback", None, layer.flops)
+         for layer in plan.layers],
+        plan._transfers, plan._metric, lw_by_gpu, plan._train_gpus)
+
+
+def _entry_points(plan, target):
+    """Every way to price one target, each a zero-argument call."""
+    return {"bind": lambda: plan.bind(target),
+            "evaluate": lambda: plan.evaluate(gpu=target),
+            "price": lambda: plan.price(target),
+            "evaluate_many": lambda: plan.evaluate_many([target]),
+            "evaluate_grid": lambda: plan.evaluate_grid([target])}
+
+
 class TestFallbackErrorParity:
+    """A missing or untrained LW fallback is one error on every path."""
+
+    def _assert_every_entry_point_raises(self, plan, error, match):
+        messages = {}
+        for name, call in _entry_points(plan, gpu("V100")).items():
+            with pytest.raises(error, match=match) as info:
+                call()
+            assert type(info.value) is error, name
+            messages[name] = str(info.value)
+        assert len(set(messages.values())) == 1, messages
+
     def test_missing_lw_raises_like_scalar(self, igkw_model):
         plan = igkw_model.compile(zoo.build("resnet18"), PARITY_BS)
-        fallback_plan = type(plan)(
-            plan.model_name, plan.network_name, plan.batch_size,
-            # force every layer onto the fallback path, with no LW
-            [type(layer)(layer.layer_name, layer.kind, layer.signature,
-                         "layer-wise-fallback", None, layer.flops)
-             for layer in plan.layers],
-            plan._transfers, plan._metric, {}, plan._train_gpus)
-        with pytest.raises(KeyError, match="no layer-wise fallback"):
-            fallback_plan.evaluate(gpu=gpu("V100"))
-        with pytest.raises(KeyError, match="no layer-wise fallback"):
-            fallback_plan.evaluate_many([gpu("V100")])
+        self._assert_every_entry_point_raises(
+            _fallback_plan(plan, {}), KeyError, "no layer-wise fallback")
+
+    def test_untrained_lw_raises_like_scalar(self, igkw_model):
+        plan = igkw_model.compile(zoo.build("resnet18"), PARITY_BS)
+        untrained = {name: LayerWiseModel() for name in plan._lw_by_gpu}
+        self._assert_every_entry_point_raises(
+            _fallback_plan(plan, untrained), RuntimeError,
+            "LayerWiseModel is not trained")
 
 
 class TestDriverMetricParity:
@@ -148,6 +177,7 @@ class TestDriverMetricParity:
         errors = []
         for call in (lambda: plan.evaluate(gpu=bad),
                      lambda: plan.bind(bad),
+                     lambda: plan.price(bad),
                      lambda: plan.evaluate_many([gpu("A100"), bad]),
                      lambda: plan.evaluate_grid([bad])):
             with pytest.raises(ValueError) as info:

@@ -1,8 +1,8 @@
 """Plan optimizer + AOT compile store: every pass is bit-exact.
 
-The optimizer (line interning, constant folding, fused fallback lines)
-and the persisted bundles exist purely to move work earlier; the suite's
-job is proving they never move a *number*. Exact float equality is the
+The optimizer (line interning, fused fallback lines) and the persisted
+bundles exist purely to move work earlier; the suite's job is proving
+they never move a *number*. Exact float equality is the
 contract here, not a test smell: an AOT-loaded plan replays the fresh
 plan's arithmetic or it is wrong.
 """
@@ -15,7 +15,7 @@ import pytest
 
 from repro import zoo
 from repro.core.linreg import LinearFit
-from repro.core.plan import KernelPlan, RetargetablePlan
+from repro.core.plan import RetargetablePlan
 from repro.core.planopt import (
     BundleMismatch,
     FallbackLinePool,
@@ -25,7 +25,6 @@ from repro.core.planopt import (
     bundle_coverage,
     bundle_path_for,
     compile_store,
-    constant_fold,
     load_bundle,
     load_plans,
     optimize_plans,
@@ -97,27 +96,6 @@ class TestLinePool:
         revived = LinePool.from_list(json.loads(json.dumps(pool.to_list())))
         # shortest-round-trip repr: the floats come back identical
         assert revived.fit_at(0) == pool.fit_at(0)
-
-
-class TestConstantFold:
-    def test_folds_single_target_to_bound_plan(self, models):
-        plan = models["igkw"].compile(zoo.build("resnet18"), PARITY_BS)
-        target = gpu("V100")
-        folded = constant_fold(plan, [target, target])
-        assert isinstance(folded, KernelPlan)
-        assert folded.evaluate() == plan.evaluate(gpu=target)
-
-    def test_distinct_targets_stay_retargetable(self, models):
-        plan = models["igkw"].compile(zoo.build("resnet18"), PARITY_BS)
-        assert constant_fold(plan, [gpu("V100"), gpu("A100")]) is plan
-        # same GPU at two bandwidths is two targets, not one
-        base = gpu("V100")
-        assert constant_fold(
-            plan, [base, base.with_bandwidth(600.0)]) is plan
-
-    def test_non_retargetable_plans_pass_through(self, models):
-        plan = models["kw"].compile(zoo.build("resnet18"), PARITY_BS)
-        assert constant_fold(plan, [gpu("V100")]) is plan
 
 
 class TestFallbackFusion:
@@ -333,3 +311,14 @@ class TestColdStartParityZoo:
             fresh.evaluate_grid(targets), name
         assert revived.evaluate(gpu=gpu("V100")) == \
             fresh.evaluate(gpu=gpu("V100")), name
+        # every single-target path prices (total, share) identically,
+        # on the fresh and the AOT-loaded plan alike
+        for plan in (fresh, revived):
+            for target in targets:
+                bound = plan.bind(target)
+                times, shares = plan.evaluate_grid([target])
+                priced = plan.price(target)
+                assert priced == (bound.evaluate(),
+                                  bound.fallback_time_share()), name
+                assert priced == (times[0], shares[0]), name
+                assert priced[0] == plan.evaluate(gpu=target), name

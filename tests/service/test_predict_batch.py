@@ -6,7 +6,15 @@ from urllib.request import Request, urlopen
 
 import pytest
 
-from repro.service import ModelRegistry, PredictionCache, PredictionService
+from repro import zoo
+from repro.core.plan import RetargetablePlan
+from repro.service import (
+    ModelRegistry,
+    PredictionCache,
+    PredictionService,
+    build_plan_chain,
+    resolve_target,
+)
 from repro.service.server import BATCH_CAP, ServiceError
 
 
@@ -237,3 +245,42 @@ class TestSequentialParity:
         reference = PredictionService(ModelRegistry(models_dir))
         for item, result in zip(items, body["results"]):
             assert result == reference.predict(dict(item))
+
+
+class TestIgkwMissPath:
+    """/predict prices an igkw miss in one pass and binds a KernelPlan
+    only when the miss degrades past the kw coverage gate."""
+
+    @staticmethod
+    def _bind_path_response(service, item):
+        """The response of binding the plan and running the full chain."""
+        entry = service.registry.get(item["model"])
+        network = zoo.build(item["network"])
+        plan = entry.model.compile(network, item["batch_size"])
+        target = resolve_target(item["model"], item["gpu"], None)
+        outcome = build_plan_chain(plan.bind(target), service.registry,
+                                   service.coverage_threshold).predict(
+            network, item["batch_size"])
+        request = (item["model"], item["network"], item["batch_size"],
+                   item["gpu"], None)
+        return dict(service._response_for(entry, request, outcome),
+                    cached=False, plan_cached=False)
+
+    @pytest.mark.parametrize("network, binds, tier", [
+        ("resnet18", 0, "kw"),      # fully mapped: the kw gate answers
+        ("bert_small", 1, "lw"),    # degrades: one bind for the chain
+    ])
+    def test_bind_runs_only_for_degraded_misses(self, models_dir,
+                                                monkeypatch, network,
+                                                binds, tier):
+        calls = []
+        bind = RetargetablePlan.bind
+        monkeypatch.setattr(
+            RetargetablePlan, "bind",
+            lambda plan, target: calls.append(target) or bind(plan, target))
+        service = PredictionService(ModelRegistry(models_dir))
+        item = _item(model="igkw", network=network, gpu="V100")
+        response = service.predict(dict(item))
+        assert len(calls) == binds
+        assert response["tier"] == tier
+        assert response == self._bind_path_response(service, item)
