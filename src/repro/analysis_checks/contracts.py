@@ -36,7 +36,9 @@ cross-checks:
          retargetable plan's numpy grid replays the scalar arithmetic
          bit-for-bit across heterogeneous targets, its one-target
          ``price`` pass returning each grid point's (total, fallback
-         share) pair exactly. (Shares CT007's
+         share) pair exactly, and its ``lw_plan(target)`` evaluating
+         exactly to the nearest LW model's direct per-layer sum.
+         (Shares CT007's
          trained campaign, so it too runs only on the full sweep.)
 - CT010  every placement policy in the fleet registry
          (:func:`repro.fleet.policy_names`) is exercised by the
@@ -48,7 +50,8 @@ cross-checks:
          (:mod:`repro.core.planopt`) never change a number: a plan
          round-tripped through a persisted bundle — line pool interning,
          lowering-matrix adoption, fused fallback warm-up — evaluates
-         bit-exactly equal to the freshly compiled plan, and a bundle
+         bit-exactly equal to the freshly compiled plan (a kernel plan's
+         ``lw_plan()`` included), and a bundle
          whose model file changed underneath is refused outright.
          (Shares CT007's trained campaign, so it runs only on the full
          sweep.)
@@ -253,8 +256,9 @@ def _check_plan_parity(networks: Dict[str, object], batch_size: int,
     equality (CT007). The igkw comparison goes through ``for_gpu`` on a
     GPU the campaign never measured. The same compiled plans then feed
     CT009: ``evaluate_many`` over a target grid must reproduce the
-    scalar ``evaluate`` point by point, and a retargetable plan's
+    scalar ``evaluate`` point by point, a retargetable plan's
     ``price`` must reproduce ``evaluate_grid``'s (total, share) pairs,
+    and its ``lw_plan(target)`` the nearest LW model's direct sum,
     bit-exactly.
     """
     from repro import zoo
@@ -300,7 +304,7 @@ def _check_plan_parity(networks: Dict[str, object], batch_size: int,
             return igkw.compile(network, batch_size)
         return models[kind].compile(network, batch_size)
 
-    def batch_parity(kind: str, plan) -> Optional[str]:
+    def batch_parity(kind: str, plan, network) -> Optional[str]:
         """CT009 for one plan: mismatch description, or None when exact."""
         if kind == "igkw":
             # the scalar pass prices (total, share) exactly as the grid
@@ -308,6 +312,14 @@ def _check_plan_parity(networks: Dict[str, object], batch_size: int,
             gridded = list(zip(*plan.evaluate_grid(grid)))
             if priced != gridded:  # repro: noqa[FP001]
                 return f"price {priced!r} != evaluate_grid {gridded!r}"
+            # the degraded tier's LW plan replays the nearest LW model
+            lw_plans = [plan.lw_plan(point).evaluate() for point in grid]
+            lw_direct = [
+                sum(lw.predict_layer(info.kind, float(info.flops))
+                    for info in network.layer_infos(batch_size))
+                for lw in (igkw._nearest_lw(point) for point in grid)]
+            if lw_plans != lw_direct:  # repro: noqa[FP001]
+                return f"lw_plan {lw_plans!r} != direct LW {lw_direct!r}"
             scalar = [plan.evaluate(gpu=point) for point in grid]
             batch = plan.evaluate_many(grid)
         else:
@@ -338,7 +350,7 @@ def _check_plan_parity(networks: Dict[str, object], batch_size: int,
                 sink.record("CT007", f"{name}/{kind}",
                             f"plan {compiled!r} != direct {reference!r}")
             try:
-                mismatch = batch_parity(kind, plan)
+                mismatch = batch_parity(kind, plan, network)
             except Exception as exc:  # repro: noqa[EX001] as finding
                 sink.record("CT009", f"{name}/{kind}",
                             f"batch evaluation failed: {exc}")
@@ -360,7 +372,8 @@ def _check_aot_parity(models: Dict[str, object],
     over the same zoo networks, reloads the bundles (which installs the
     persisted lowering matrices and fuses the fallback lines), and
     compares every loaded plan's evaluation against the freshly
-    compiled plan with exact float equality. Also checks that a bundle
+    compiled plan with exact float equality — for a kernel plan, its
+    ``lw_plan()`` too. Also checks that a bundle
     whose model bytes changed underneath is refused.
     """
     import json as json_mod
@@ -389,6 +402,12 @@ def _check_aot_parity(models: Dict[str, object],
                     if kind == "igkw":
                         revived = plan.evaluate_grid(grid)
                         expected = fresh.evaluate_grid(grid)
+                    elif kind == "kw":
+                        # the LW plan prices degraded answers
+                        revived = (plan.evaluate(),
+                                   plan.lw_plan().evaluate())
+                        expected = (fresh.evaluate(),
+                                    fresh.lw_plan().evaluate())
                     else:
                         revived = plan.evaluate()
                         expected = fresh.evaluate()

@@ -14,7 +14,7 @@ from typing import Dict, Optional
 
 from repro.core.base import PerformanceModel
 from repro.core.linreg import LinearFit, fit_line
-from repro.core.plan import LayerSumPlan
+from repro.core.plan import LayerSumPlan, layer_sum_plan
 from repro.dataset.builder import PerformanceDataset
 from repro.nn.graph import Network
 
@@ -50,10 +50,10 @@ class LayerWiseModel(PerformanceModel):
     def compile(self, network: Network, batch_size: int) -> LayerSumPlan:
         if self.fallback is None:
             raise RuntimeError("LayerWiseModel is not trained")
-        terms = tuple((float(info.flops),
-                       self.fits.get(info.kind, self.fallback))
-                      for info in network.layer_infos(batch_size))
-        return LayerSumPlan(self.name, network.name, batch_size, terms)
+        return layer_sum_plan(
+            self, network.name, batch_size,
+            ((float(info.flops), info.kind)
+             for info in network.layer_infos(batch_size)))
 
     def kinds(self):
         """Layer kinds with a dedicated regression, sorted."""

@@ -115,6 +115,20 @@ class LayerSumPlan(PredictionPlan):
         return sum(fit.predict(flops) for flops, fit in self.terms)
 
 
+def layer_sum_plan(lw, network_name: str, batch_size: int,
+                   layers) -> LayerSumPlan:
+    """``lw``'s plan over ``(flops, kind)`` layers given in graph order.
+
+    The one layer-wise lowering: each layer is priced by its kind's fit,
+    or by the model's catch-all fit for kinds it never trained on.
+    ``LayerWiseModel.compile`` and the kernel-level plans' ``lw_plan``
+    all build their plans here.
+    """
+    return LayerSumPlan(lw.name, network_name, batch_size,
+                        tuple((flops, lw.fits.get(kind, lw.fallback))
+                              for flops, kind in layers))
+
+
 @dataclass(frozen=True)
 class PlanLayer:
     """One layer of a fully-resolved kernel-level plan.
@@ -146,17 +160,33 @@ class KernelPlan(PredictionPlan):
     """Fully-resolved kernel-level plan (KW, or IGKW bound to one GPU).
 
     ``lw_model`` is the layer-wise fallback that was attached at compile
-    time, kept so serving tiers can degrade without re-resolving it.
+    time; :meth:`lw_plan` is its plan of the same network, which serving
+    tiers degrade to.
     """
 
     def __init__(self, model_name: str, network_name: str, batch_size: int,
-                 layers: Sequence[PlanLayer],
-                 lw_model=None) -> None:
+                 layers: Sequence[PlanLayer], lw_model=None,
+                 lw_plan: Optional[LayerSumPlan] = None) -> None:
         super().__init__(model_name, network_name, batch_size)
         self.layers = tuple(layers)
         self.lw_model = lw_model
+        self._lw_plan = lw_plan
         self._coverage: Optional[CoverageReport] = None
         self._stage_sums: Optional[Tuple[float, float]] = None
+
+    def lw_plan(self) -> Optional[LayerSumPlan]:
+        """``lw_model``'s plan of this network; None without one.
+
+        Lowered on first use and cached, so a plan that degrades builds
+        its network once, not once per answer. A plan bound from a
+        :class:`RetargetablePlan` arrives with that plan's cached one;
+        any other is lowered from the zoo network of its name.
+        """
+        if self._lw_plan is None and self.lw_model is not None:
+            from repro import zoo
+            self._lw_plan = self.lw_model.compile(
+                zoo.build(self.network_name), self.batch_size)
+        return self._lw_plan
 
     def evaluate(self, gpu: Optional[GPUSpec] = None) -> float:
         return self._sums()[0]
@@ -263,10 +293,11 @@ class RetargetablePlan(PredictionPlan):
 
     Pricing one target synthesises each distinct kernel's regression
     line for it (exactly once per kernel name, matching ``for_gpu``).
-    ``price(target)`` then sums the plan in one pass; ``bind(target)``
-    instead returns a fully-resolved :class:`KernelPlan` for the
-    degradation tiers; ``evaluate_grid`` prices many targets at once.
-    ``evaluate`` and ``coverage`` require a target GPU.
+    ``price(target)`` then sums the plan in one pass; ``lw_plan(target)``
+    is the target's layer-wise fallback plan for degraded answers;
+    ``bind(target)`` returns a fully-resolved :class:`KernelPlan`;
+    ``evaluate_grid`` prices many targets at once. ``evaluate`` and
+    ``coverage`` require a target GPU.
     """
 
     def __init__(self, model_name: str, network_name: str, batch_size: int,
@@ -289,6 +320,8 @@ class RetargetablePlan(PredictionPlan):
             None)
         self._batch: Optional[_BatchLowering] = None
         self._fallback_fits: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        # id(lw) -> that LayerWiseModel's plan of this network
+        self._lw_plans: Dict[int, LayerSumPlan] = {}
 
     @property
     def used_kernels(self) -> Tuple[str, ...]:
@@ -350,7 +383,29 @@ class RetargetablePlan(PredictionPlan):
                     layer.stage, terms))
         return KernelPlan(f"{self.model_name}->{target.name}",
                           self.network_name, self.batch_size,
-                          tuple(layers), lw_model=lw)
+                          tuple(layers), lw, self._lw_plan_of(lw))
+
+    def lw_plan(self, target: GPUSpec) -> Optional[LayerSumPlan]:
+        """The layer-wise plan of the target's nearest LW model.
+
+        Lowered by :func:`layer_sum_plan` from the plan's own layers and
+        FLOPs, as ``LayerWiseModel.compile`` lowers the network, so its
+        ``evaluate()`` is bit-exact with that model's
+        ``predict_network``. Built on first use and cached per LW model
+        (at most one per training GPU); None without a trained LW model.
+        """
+        return self._lw_plan_of(self._target_lw(target))
+
+    def _lw_plan_of(self, lw) -> Optional[LayerSumPlan]:
+        if lw is None or lw.fallback is None:
+            return None
+        plan = self._lw_plans.get(id(lw))
+        if plan is None:
+            plan = layer_sum_plan(
+                lw, self.network_name, self.batch_size,
+                ((layer.flops, layer.kind) for layer in self.layers))
+            self._lw_plans[id(lw)] = plan
+        return plan
 
     def price(self, target: GPUSpec) -> Tuple[float, float]:
         """(predicted us, fallback time share) for one target, one pass.

@@ -20,6 +20,7 @@ the observation into the one calibrator it owns.
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -30,6 +31,7 @@ from repro.service.fallback import (
     PredictionError,
     PredictionOutcome,
     build_plan_chain,
+    kernel_chain,
 )
 from repro.service.metrics import MetricsRegistry
 from repro.service.registry import (
@@ -53,30 +55,6 @@ class ServiceError(Exception):
         super().__init__(message)
         self.status = status
         self.message = message
-
-
-class _LazyNetwork:
-    """A zoo network that is only built when something touches it.
-
-    A plan-cache or AOT-bundle hit answers the kw tier without the
-    layer graph ever being constructed; only the degradation tiers
-    (which re-walk the network) force construction. Unknown network
-    names still 404 eagerly: a plan miss calls :meth:`build` inside
-    ``_plan_for`` before anything is served.
-    """
-
-    def __init__(self, name: str, builder) -> None:
-        self._name = name
-        self._builder = builder
-        self._network = None
-
-    def build(self):
-        if self._network is None:
-            self._network = self._builder(self._name)
-        return self._network
-
-    def __getattr__(self, attribute):
-        return getattr(self.build(), attribute)
 
 
 def _require(payload: Dict, field: str, kind, explain: str):
@@ -125,6 +103,11 @@ class PredictionService:
         # manual wall-clock change must never make /healthz report a
         # negative or jumping uptime
         self._started_monotonic = time.monotonic()
+        # result-cache keys being computed right now, each with the
+        # lock its leader holds while concurrent askers wait on it
+        # (single flight)
+        self._lock = threading.Lock()
+        self._inflight: Dict[Tuple, threading.Lock] = {}
 
     def _uptime_s(self) -> float:
         return round(time.monotonic() - self._started_monotonic, 3)
@@ -163,7 +146,7 @@ class PredictionService:
             raise ServiceError(404, str(exc.args[0])) from None
 
     def _plan_for(self, entry, model_name: str, network_name: str,
-                  batch_size: int, network: _LazyNetwork) -> Tuple:
+                  batch_size: int) -> Tuple:
         # the compiled plan is GPU-independent, so repeat requests for
         # the same structure skip the graph walk even when the target
         # GPU or bandwidth differs between them. The key carries the
@@ -180,7 +163,8 @@ class PredictionService:
             self.metrics.increment("aot_plan_hits_total")
             self.plans.put(plan_key, plan)
             return plan, True
-        plan = entry.model.compile(network.build(), batch_size)
+        plan = entry.model.compile(self._build_network(network_name),
+                                   batch_size)
         self.plans.put(plan_key, plan)
         return plan, False
 
@@ -194,28 +178,34 @@ class PredictionService:
         except KeyError as exc:                  # unknown GPU
             raise ServiceError(404, str(exc.args[0])) from None
 
-    def _run_chain(self, request_plan, network,
+    def _run_chain(self, chain, network_name: str,
                    batch_size: int) -> PredictionOutcome:
-        chain = build_plan_chain(request_plan, self.registry,
-                                 self.coverage_threshold)
         try:
-            outcome = chain.predict(network, batch_size)
+            outcome = chain.predict(network_name, batch_size)
         except PredictionError as exc:
             raise ServiceError(422, str(exc)) from None
         self._count_outcome(outcome)
         return outcome
 
-    def _igkw_outcome(self, plan, target, network, batch_size: int,
-                      total_us: float, share: float,
+    def _plan_outcome(self, plan, network_name: str,
+                      batch_size: int) -> PredictionOutcome:
+        return self._run_chain(
+            build_plan_chain(plan, self.registry, self.coverage_threshold),
+            network_name, batch_size)
+
+    def _igkw_outcome(self, plan, target, network_name: str,
+                      batch_size: int, total_us: float, share: float,
                       vectorized: bool = False) -> PredictionOutcome:
         """One igkw miss, given the target's priced (total, share).
 
-        At or below the coverage threshold the kw tier would answer with
+        At or below the coverage threshold the kw tier answers with
         exactly ``total_us`` — the priced total is bit-exact with
         ``bind(target).evaluate()`` and the share gate is the comparison
-        the tier applies — so no KernelPlan is bound. Only a degraded
-        miss binds one and runs the fallback chain. ``vectorized``
-        marks a total read off a batch's ``evaluate_grid`` pass.
+        the tier applies. A degraded miss runs the same
+        :func:`kernel_chain` over the priced pair and the plan's cached
+        ``lw_plan(target)``: no KernelPlan is bound and no network is
+        built. ``vectorized`` marks a total read off a batch's
+        ``evaluate_grid`` pass.
         """
         if share <= self.coverage_threshold:
             outcome = PredictionOutcome(total_us, "kw", (("kw", None),))
@@ -223,7 +213,10 @@ class PredictionService:
                 self.metrics.increment("batch_vectorized_items_total")
             self._count_outcome(outcome)
             return outcome
-        return self._run_chain(plan.bind(target), network, batch_size)
+        return self._run_chain(
+            kernel_chain(total_us, share, lambda: plan.lw_plan(target),
+                         self.registry, self.coverage_threshold),
+            network_name, batch_size)
 
     def _count_outcome(self, outcome: PredictionOutcome) -> None:
         self.metrics.increment(f"tier_{outcome.tier}_total")
@@ -251,7 +244,11 @@ class PredictionService:
     # -- endpoints ------------------------------------------------------------
 
     def predict(self, payload: Dict) -> Dict:
-        """Serve one /predict body; raises ServiceError on bad requests."""
+        """Serve one /predict body; raises ServiceError on bad requests.
+
+        Concurrent misses on one result-cache key compute it once: the
+        first computes, the others wait and answer from the cache.
+        """
         request = self._parse_predict(payload)
         model_name, network_name, batch_size, gpu_name, bandwidth = request
         entry = self._lookup_entry(model_name)
@@ -262,21 +259,60 @@ class PredictionService:
         if cached is not None:
             # a result hit answers without touching plans at all
             return dict(cached, cached=True, plan_cached=True)
+        flight = self._join_flight(key)
+        if flight is None:
+            try:
+                return self._predict_miss(entry, request, key)
+            finally:
+                self._land(key)
+        with flight:                  # held by the leader until it lands
+            pass
+        cached = self.cache.get(key)
+        if cached is not None:
+            return dict(cached, cached=True, plan_cached=True)
+        # the leader failed: this request computes (and fails) on its own
+        return self._predict_miss(entry, request, key)
 
-        network = _LazyNetwork(network_name, self._build_network)
+    def _predict_miss(self, entry, request: Tuple, key: Tuple) -> Dict:
+        model_name, network_name, batch_size, gpu_name, bandwidth = request
         plan, plan_cached = self._plan_for(entry, model_name, network_name,
-                                           batch_size, network)
-
+                                           batch_size)
         if entry.kind == "igkw":
             target = self._resolve_igkw_target(model_name, gpu_name,
                                                bandwidth)
-            outcome = self._igkw_outcome(plan, target, network, batch_size,
-                                         *plan.price(target))
+            outcome = self._igkw_outcome(plan, target, network_name,
+                                         batch_size, *plan.price(target))
         else:
-            outcome = self._run_chain(plan, network, batch_size)
+            outcome = self._plan_outcome(plan, network_name, batch_size)
         response = self._response_for(entry, request, outcome)
         self.cache.put(key, response)
         return dict(response, cached=False, plan_cached=plan_cached)
+
+    def _join_flight(self, key: Tuple) -> Optional[threading.Lock]:
+        """Lead ``key``'s computation, or wait on the one in flight.
+
+        None makes the caller the leader, which must :meth:`_land` the
+        key once its answer is cached (or has failed). Otherwise the
+        caller waits by acquiring the returned lock, which the leader
+        holds until it lands; a key cached between the caller's miss
+        and this call returns a free lock.
+        """
+        with self._lock:
+            flight = self._inflight.get(key)
+            if flight is not None:
+                return flight
+            if key in self.cache:
+                return threading.Lock()
+            # a Lock, not an Event: one is built per miss, and an Event
+            # costs some 70x more to build
+            flight = threading.Lock()
+            flight.acquire()
+            self._inflight[key] = flight
+            return None
+
+    def _land(self, key: Tuple) -> None:
+        with self._lock:
+            self._inflight.pop(key).release()
 
     def predict_batch(self, payload: Dict) -> Dict:
         """Serve one /predict_batch body: many /predict items at once.
@@ -288,7 +324,9 @@ class PredictionService:
         misses are grouped by (model, network, batch size, model stamp)
         so each group compiles at most one plan — and, for retargetable
         (igkw) plans, prices all its targets in one vectorised
-        ``evaluate_grid`` pass instead of binding per item.
+        ``evaluate_grid`` pass instead of binding per item. A miss
+        whose key another request is computing waits for that answer
+        and reports it as cached, as :meth:`predict` does.
         """
         if not isinstance(payload, dict):
             raise ServiceError(400, "request body must be a JSON object")
@@ -323,17 +361,48 @@ class PredictionService:
         cached_values = self.cache.get_many(
             [key for _, _, _, key in pending])
         groups: Dict[Tuple, List[Tuple]] = {}
-        for miss, cached in zip(pending, cached_values):
-            position, request, entry, key = miss
-            if cached is not None:
-                results[position] = dict(cached, cached=True,
-                                         plan_cached=True)
-                self.metrics.increment("batch_cache_hits_total")
+        led = set()                   # keys this batch computes
+        waiting = []                  # (miss, flight) computed elsewhere
+        try:
+            for miss, cached in zip(pending, cached_values):
+                position, request, entry, key = miss
+                if cached is not None:
+                    results[position] = dict(cached, cached=True,
+                                             plan_cached=True)
+                    self.metrics.increment("batch_cache_hits_total")
+                    continue
+                if key not in led:
+                    flight = self._join_flight(key)
+                    if flight is not None:
+                        waiting.append((miss, flight))
+                        continue
+                    led.add(key)
+                group_key = (request[0], request[1], request[2],
+                             entry.stamp)
+                groups.setdefault(group_key, []).append(miss)
+            for group in groups.values():
+                self._serve_batch_group(group, results)
+                # a request waiting on this group's keys must not wait
+                # for the batch's later groups too
+                for _, _, _, key in group:
+                    if key in led:
+                        led.discard(key)
+                        self._land(key)
+        finally:
+            for key in led:           # left in flight by a failure
+                self._land(key)
+        # waits only once every led key has landed, so two batches
+        # leading keys the other waits on can never deadlock
+        for miss, flight in waiting:
+            with flight:
+                pass
+            position, _, _, key = miss
+            cached = self.cache.get(key)
+            if cached is None:
+                self._serve_batch_group([miss], results)
                 continue
-            group_key = (request[0], request[1], request[2], entry.stamp)
-            groups.setdefault(group_key, []).append(miss)
-        for group in groups.values():
-            self._serve_batch_group(group, results)
+            results[position] = dict(cached, cached=True, plan_cached=True)
+            self.metrics.increment("batch_cache_hits_total")
 
         errors = sum(1 for result in results if "status" in result)
         if errors:
@@ -346,9 +415,8 @@ class PredictionService:
         _, first_request, entry, _ = group[0]
         model_name, network_name, batch_size = first_request[:3]
         try:
-            network = _LazyNetwork(network_name, self._build_network)
             plan, plan_cached = self._plan_for(
-                entry, model_name, network_name, batch_size, network)
+                entry, model_name, network_name, batch_size)
         # one bad group must not fail the batch: every failure mode
         # lands in the group's own result slots, type preserved
         except ServiceError as exc:
@@ -365,13 +433,13 @@ class PredictionService:
         # item of a freshly-compiled group reports plan_cached=False
         flags = [plan_cached] + [True] * (len(group) - 1)
         if entry.kind == "igkw":
-            self._serve_igkw_group(group, flags, entry, network, plan,
-                                   results)
+            self._serve_igkw_group(group, flags, entry, network_name,
+                                   plan, results)
         else:
-            self._serve_plain_group(group, flags, entry, network, plan,
-                                    results)
+            self._serve_plain_group(group, flags, entry, network_name,
+                                    plan, results)
 
-    def _serve_plain_group(self, group, flags, entry, network, plan,
+    def _serve_plain_group(self, group, flags, entry, network_name, plan,
                            results) -> None:
         # a single-GPU plan's outcome is identical for every item of
         # the group (gpu/bandwidth are echoed, not used): run the
@@ -389,7 +457,8 @@ class PredictionService:
                     self.metrics.increment("batch_cache_hits_total")
                     continue
                 if outcome is None:
-                    outcome = self._run_chain(plan, network, request[2])
+                    outcome = self._plan_outcome(plan, network_name,
+                                                 request[2])
                 else:
                     self._count_outcome(outcome)
                 response = self._response_for(entry, request, outcome)
@@ -405,7 +474,7 @@ class PredictionService:
                     "error": f"internal error: {type(exc).__name__}: {exc}",
                     "status": 500}
 
-    def _serve_igkw_group(self, group, flags, entry, network, plan,
+    def _serve_igkw_group(self, group, flags, entry, network_name, plan,
                           results) -> None:
         model_name, _, batch_size = group[0][1][:3]
         resolved = []       # (position, request, key, flag, target)
@@ -445,7 +514,7 @@ class PredictionService:
                 vectorized = times is not None
                 total, share = ((times[index], shares[index]) if vectorized
                                 else plan.price(target))
-                outcome = self._igkw_outcome(plan, target, network,
+                outcome = self._igkw_outcome(plan, target, network_name,
                                              batch_size, total, share,
                                              vectorized)
                 response = self._response_for(entry, request, outcome)

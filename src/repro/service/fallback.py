@@ -15,14 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro import zoo
 from repro.core.plan import FlopsPlan, KernelPlan, LayerSumPlan
-from repro.nn.graph import Network
 
 #: Default trustworthiness bar, matching CoverageReport.trustworthy.
 COVERAGE_THRESHOLD = 0.10
 
-#: One tier: (name, predict(network, batch_size) -> microseconds).
-Tier = Tuple[str, Callable[[Network, int], float]]
+#: One tier: (name, predict(network_name, batch_size) -> microseconds).
+#: Tiers over compiled plans ignore the name; only a hosted E2E tier
+#: builds the zoo network it names.
+Tier = Tuple[str, Callable[[str, int], float]]
 
 
 class TierError(RuntimeError):
@@ -59,12 +61,12 @@ class FallbackChain:
     def tier_names(self) -> List[str]:
         return [name for name, _ in self.tiers]
 
-    def predict(self, network: Network, batch_size: int
+    def predict(self, network_name: str, batch_size: int
                 ) -> PredictionOutcome:
         attempts: List[Tuple[str, Optional[str]]] = []
         for name, fn in self.tiers:
             try:
-                value = float(fn(network, batch_size))
+                value = float(fn(network_name, batch_size))
             # a TierError is the domain protocol for "this tier
             # declines": its message is the whole story
             except TierError as exc:
@@ -83,23 +85,51 @@ class FallbackChain:
             return PredictionOutcome(value, name, tuple(attempts))
         trail = "; ".join(f"{name}: {reason}" for name, reason in attempts)
         raise PredictionError(
-            f"every fallback tier failed for {network.name!r} "
+            f"every fallback tier failed for {network_name!r} "
             f"at batch {batch_size} ({trail})")
 
 
-def _plan_kernel_tier(plan: KernelPlan,
-                      coverage_threshold: float
-                      ) -> Callable[[Network, int], float]:
-    def predict(network: Network, batch_size: int) -> float:
-        share = plan.fallback_time_share()
+def kernel_chain(total_us: float, share: float,
+                 lw_plan: Optional[Callable[[], LayerSumPlan]],
+                 registry=None,
+                 coverage_threshold: float = COVERAGE_THRESHOLD
+                 ) -> FallbackChain:
+    """The KW -> LW -> E2E chain of one priced kernel-level prediction.
+
+    ``total_us`` and ``share`` are the plan's total and the fraction of
+    it resting on layer-wise fallback layers, as already priced (by a
+    KernelPlan, ``RetargetablePlan.price`` or ``evaluate_grid``); the
+    kw tier answers with the total when the share passes the coverage
+    gate. The LW tier evaluates ``lw_plan()``, the layer-wise plan of
+    the same network, which the kernel-level plan lowers once and
+    caches; a chain without a layer-wise fallback passes None.
+    """
+    def kernel_tier(network_name: str, batch_size: int) -> float:
         if share > coverage_threshold:
             raise TierError(
                 f"{share:.0%} of the predicted time rests on unmapped "
                 f"kernels (threshold {coverage_threshold:.0%})")
-        # the plan already priced every layer at compile time: its total
-        # IS the prediction, so no pass over the network at all
-        return plan.evaluate()
+        return total_us
+    tiers: List[Tier] = [("kw", kernel_tier)]
+    if lw_plan is not None:
+        tiers.append(("lw",
+                      lambda network_name, batch_size: lw_plan().evaluate()))
+    return _with_hosted_e2e(tiers, registry)
+
+
+def _hosted_e2e_tier(model) -> Callable[[str, int], float]:
+    def predict(network_name: str, batch_size: int) -> float:
+        return model.predict_network(zoo.build(network_name), batch_size)
     return predict
+
+
+def _with_hosted_e2e(tiers: List[Tier], registry) -> FallbackChain:
+    has_e2e = any(name == "e2e" for name, _ in tiers)
+    if registry is not None and not has_e2e:
+        hosted = registry.first_of_kind("e2e")
+        if hosted is not None:
+            tiers.append(("e2e", _hosted_e2e_tier(hosted.model)))
+    return FallbackChain(tiers)
 
 
 def build_plan_chain(plan, registry=None,
@@ -108,29 +138,26 @@ def build_plan_chain(plan, registry=None,
     """The degradation chain for one compiled plan.
 
     A kernel plan (KW, or IGKW after ``bind``) gets the full
-    KW -> LW -> E2E chain; an LW plan degrades to a hosted E2E model;
+    KW -> LW -> E2E :func:`kernel_chain` over its own total, fallback
+    share and ``lw_plan``; an LW plan degrades to a hosted E2E model;
     an E2E plan stands alone. No tier re-walks the network: the kernel
     tier reads coverage straight off the plan (its stages were fixed at
-    compile time), the LW tier reuses the fallback model the plan
-    carries, and only the hosted E2E tier (``registry``'s
-    ``first_of_kind("e2e")``) touches the network object.
+    compile time), the LW tier evaluates the plan's cached LW plan,
+    and only the hosted E2E tier (``registry``'s
+    ``first_of_kind("e2e")``) builds the network from its name.
     """
-    tiers: List[Tier] = []
     if isinstance(plan, KernelPlan):
-        tiers.append(("kw", _plan_kernel_tier(plan, coverage_threshold)))
-        if plan.lw_model is not None:
-            tiers.append(("lw", plan.lw_model.predict_network))
-    elif isinstance(plan, LayerSumPlan):
-        tiers.append(("lw", lambda network, batch_size: plan.evaluate()))
+        return kernel_chain(
+            plan.evaluate(), plan.fallback_time_share(),
+            None if plan.lw_model is None else plan.lw_plan,
+            registry, coverage_threshold)
+    tiers: List[Tier] = []
+    if isinstance(plan, LayerSumPlan):
+        tiers.append(("lw", lambda network_name, batch_size: plan.evaluate()))
     elif isinstance(plan, FlopsPlan):
-        tiers.append(("e2e", lambda network, batch_size: plan.evaluate()))
+        tiers.append(("e2e", lambda network_name, batch_size: plan.evaluate()))
     else:
         # any other plan serves as its own single tier
         tiers.append(((plan.model_name or "model").lower(),
-                      lambda network, batch_size: plan.evaluate()))
-    has_e2e = any(name == "e2e" for name, _ in tiers)
-    if registry is not None and not has_e2e:
-        hosted = registry.first_of_kind("e2e")
-        if hosted is not None:
-            tiers.append(("e2e", hosted.model.predict_network))
-    return FallbackChain(tiers)
+                      lambda network_name, batch_size: plan.evaluate()))
+    return _with_hosted_e2e(tiers, registry)

@@ -109,7 +109,15 @@ class TestPlanShapes:
         plan = single_gpu_models["kw"].compile(network, PARITY_BS)
         assert isinstance(plan, KernelPlan)
         assert len(plan.layers) == len(network.layer_infos(PARITY_BS))
-        assert plan.lw_model is single_gpu_models["kw"].lw_fallback
+        lw = single_gpu_models["kw"].lw_fallback
+        assert plan.lw_model is lw
+        lw_plan = plan.lw_plan()
+        assert plan.lw_plan() is lw_plan          # lowered once, cached
+        infos = network.layer_infos(PARITY_BS)
+        assert len(lw_plan.terms) == len(infos)
+        assert all(fit is lw.fits.get(info.kind, lw.fallback)
+                   for (_, fit), info in zip(lw_plan.terms, infos))
+        assert lw_plan.evaluate() == lw.predict_network(network, PARITY_BS)
 
     def test_igkw_compiles_retargetable(self, igkw_model):
         plan = igkw_model.compile(zoo.build("resnet18"), PARITY_BS)
@@ -226,4 +234,11 @@ class TestPlanReuseAcrossTargets:
         plan = igkw_model.compile(zoo.build("resnet18"), PARITY_BS)
         target = gpu("V100")
         bound = plan.bind(target)
-        assert bound.lw_model is igkw_model._nearest_lw(target)
+        lw = igkw_model._nearest_lw(target)
+        assert bound.lw_model is lw
+        assert bound.lw_plan() is plan.lw_plan(target)
+        assert plan.lw_plan(target) is plan.lw_plan(target)
+        assert len(bound.lw_plan().terms) == len(plan.layers)
+        assert all(fit is lw.fits.get(layer.kind, lw.fallback)
+                   for (_, fit), layer in zip(bound.lw_plan().terms,
+                                              plan.layers))

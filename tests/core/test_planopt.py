@@ -322,3 +322,58 @@ class TestColdStartParityZoo:
                                   bound.fallback_time_share()), name
                 assert priced == (times[0], shares[0]), name
                 assert priced[0] == plan.evaluate(gpu=target), name
+
+
+#: Serving batch sizes for the layer-wise fallback parity sweep.
+LW_BATCH_SIZES = (64, 512)
+
+
+@pytest.fixture(scope="module")
+def lw_loaded_plans(models, tmp_path_factory):
+    """kind -> AOT-loaded kw and igkw plans at LW_BATCH_SIZES."""
+    directory = tmp_path_factory.mktemp("aot-lw-store")
+    networks = [zoo.build(name) for name in zoo.model_names()]
+    loaded = {}
+    for kind in ("kw", "igkw"):
+        path = directory / f"{kind}.json"
+        save_model(models[kind], path)
+        save_bundle(build_bundle(models[kind], path, networks,
+                                 LW_BATCH_SIZES), path)
+        loaded[kind] = load_bundle(path, models[kind])
+    return loaded
+
+
+class TestLayerWisePlanParityZoo:
+    """Every kernel-level plan's LW plan is bit-exact with the LW model's
+    own prediction, fresh and AOT-loaded, for all 36 networks."""
+
+    @pytest.mark.parametrize("name", zoo.model_names())
+    def test_igkw_lw_plan_bit_exact(self, models, lw_loaded_plans, name):
+        network = zoo.build(name)
+        igkw = models["igkw"]
+        targets = (gpu("V100"), gpu("V100").with_bandwidth(600.0),
+                   gpu("A100"))
+        for batch_size in LW_BATCH_SIZES:
+            fresh = igkw.compile(network, batch_size)
+            revived = lw_loaded_plans["igkw"][(name, batch_size)]
+            for target in targets:
+                expected = igkw._nearest_lw(target).predict_network(
+                    network, batch_size)
+                for plan in (fresh, revived):
+                    assert plan.lw_plan(target).evaluate() == expected, \
+                        (name, batch_size, target.name)
+                    assert plan.bind(target).lw_plan().evaluate() == \
+                        expected, (name, batch_size, target.name)
+
+    @pytest.mark.parametrize("name", zoo.model_names())
+    def test_kw_lw_plan_bit_exact(self, models, lw_loaded_plans, name):
+        network = zoo.build(name)
+        kw = models["kw"]
+        for batch_size in LW_BATCH_SIZES:
+            expected = kw.lw_fallback.predict_network(network, batch_size)
+            fresh = kw.compile(network, batch_size)
+            revived = lw_loaded_plans["kw"][(name, batch_size)]
+            assert fresh.lw_plan().evaluate() == expected, \
+                (name, batch_size)
+            assert revived.lw_plan().evaluate() == expected, \
+                (name, batch_size)

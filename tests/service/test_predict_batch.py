@@ -7,6 +7,10 @@ from urllib.request import Request, urlopen
 import pytest
 
 from repro import zoo
+from repro.core.e2e import EndToEndModel
+from repro.core.intergpu import InterGPUKernelWiseModel
+from repro.core.kernelwise import KernelTablePredictor, KernelWiseModel
+from repro.core.layerwise import LayerWiseModel
 from repro.core.plan import RetargetablePlan
 from repro.service import (
     ModelRegistry,
@@ -248,8 +252,9 @@ class TestSequentialParity:
 
 
 class TestIgkwMissPath:
-    """/predict prices an igkw miss in one pass and binds a KernelPlan
-    only when the miss degrades past the kw coverage gate."""
+    """/predict prices an igkw miss in one pass and never binds a
+    KernelPlan: a miss that degrades past the kw coverage gate answers
+    from the plan's cached layer-wise plan."""
 
     @staticmethod
     def _bind_path_response(service, item):
@@ -260,7 +265,11 @@ class TestIgkwMissPath:
         target = resolve_target(item["model"], item["gpu"], None)
         outcome = build_plan_chain(plan.bind(target), service.registry,
                                    service.coverage_threshold).predict(
-            network, item["batch_size"])
+            item["network"], item["batch_size"])
+        if outcome.tier == "lw":
+            # pinned to the direct layer-wise path, not only to the plan
+            assert outcome.value_us == entry.model._nearest_lw(
+                target).predict_network(network, item["batch_size"])
         request = (item["model"], item["network"], item["batch_size"],
                    item["gpu"], None)
         return dict(service._response_for(entry, request, outcome),
@@ -268,7 +277,7 @@ class TestIgkwMissPath:
 
     @pytest.mark.parametrize("network, binds, tier", [
         ("resnet18", 0, "kw"),      # fully mapped: the kw gate answers
-        ("bert_small", 1, "lw"),    # degrades: one bind for the chain
+        ("bert_small", 0, "lw"),    # degrades: the LW tier, no bind
     ])
     def test_bind_runs_only_for_degraded_misses(self, models_dir,
                                                 monkeypatch, network,
@@ -284,3 +293,36 @@ class TestIgkwMissPath:
         assert len(calls) == binds
         assert response["tier"] == tier
         assert response == self._bind_path_response(service, item)
+
+    def test_degraded_plan_hit_needs_no_bind_build_or_compile(
+            self, models_dir, monkeypatch):
+        """A degraded miss on a plan-cache hit is priced from cached
+        plans alone, on /predict and /predict_batch."""
+        service = PredictionService(ModelRegistry(models_dir))
+        service.predict(_item(model="igkw", network="bert_small",
+                              gpu="A100"))          # warms the plan cache
+        items = [_item(model="igkw", network="bert_small", gpu=name)
+                 for name in ("V100", "TITAN RTX", "A40")]
+        expected = [dict(self._bind_path_response(service, item),
+                         plan_cached=True) for item in items]
+        assert all(reply["tier"] == "lw" for reply in expected)
+
+        calls = []
+
+        def spy(owner, attribute):
+            original = getattr(owner, attribute)
+            monkeypatch.setattr(
+                owner, attribute,
+                lambda *args, **kwargs: calls.append(attribute)
+                or original(*args, **kwargs))
+
+        spy(RetargetablePlan, "bind")
+        spy(zoo, "build")
+        for model_class in (KernelTablePredictor, KernelWiseModel,
+                            InterGPUKernelWiseModel, LayerWiseModel,
+                            EndToEndModel):
+            spy(model_class, "compile")
+        assert service.predict(dict(items[0])) == expected[0]
+        batch = service.predict_batch({"items": items[1:]})["results"]
+        assert batch == expected[1:]
+        assert calls == []
