@@ -42,7 +42,7 @@ def test_evaluate_many_speeds_up_dense_grid(benchmark):
     base = gpu("TITAN RTX")
 
     looped, vectorised = _sweep_case(plan, base, DENSE_BANDWIDTHS)
-    plan.evaluate_many([base])                    # warm the lowering
+    plan.evaluate_many([base])                    # warm-up call
     looped_s, looped_times = best_of(looped)
     batch_s, batch_times = once(benchmark, lambda: best_of(vectorised))
     speedup = looped_s / batch_s
@@ -66,7 +66,7 @@ def test_evaluate_many_speeds_up_paper_sweep():
     base = gpu("TITAN RTX")
 
     looped, vectorised = _sweep_case(plan, base, DEFAULT_BANDWIDTHS)
-    plan.evaluate_many([base])                    # warm the lowering
+    plan.evaluate_many([base])                    # warm-up call
     looped_s, looped_times = best_of(looped)
     batch_s, batch_times = best_of(vectorised)
     speedup = looped_s / batch_s

@@ -49,10 +49,12 @@ cross-checks:
 - CT011  the plan optimizer and the AOT compile store
          (:mod:`repro.core.planopt`) never change a number: a plan
          round-tripped through a persisted bundle — line pool interning,
-         lowering-matrix adoption, fused fallback warm-up — evaluates
-         bit-exactly equal to the freshly compiled plan (a kernel plan's
-         ``lw_plan()`` included), and a bundle
-         whose model file changed underneath is refused outright.
+         layer-body revival, a retargetable plan's columns and term
+         matrices — evaluates bit-exactly equal to the freshly compiled
+         plan (a kernel plan's ``lw_plan()`` included; a retargetable
+         plan's grid, ``price`` and bound per-layer coverage records
+         per target), and a bundle whose model file changed underneath
+         is refused outright.
          (Shares CT007's trained campaign, so it runs only on the full
          sweep.)
 
@@ -65,6 +67,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis_checks.findings import Finding, Severity
@@ -369,12 +372,14 @@ def _check_aot_parity(models: Dict[str, object],
     """CT011: the optimizer and the compile store never change a number.
 
     Persists CT007's trained models, AOT-compiles a bundle per model
-    over the same zoo networks, reloads the bundles (which installs the
-    persisted lowering matrices and fuses the fallback lines), and
-    compares every loaded plan's evaluation against the freshly
-    compiled plan with exact float equality — for a kernel plan, its
-    ``lw_plan()`` too. Also checks that a bundle
-    whose model bytes changed underneath is refused.
+    over the same zoo networks, reloads the bundles, and compares every
+    loaded plan's evaluation against the freshly compiled plan with
+    exact float equality — for a kernel plan, its ``lw_plan()`` too;
+    for a retargetable plan, per grid target, its ``price`` and the
+    bound plan's per-layer coverage records (name, kind, signature,
+    stage, predicted time), which read every persisted column back.
+    Also checks that a bundle whose model bytes changed underneath is
+    refused.
     """
     import json as json_mod
     import tempfile
@@ -400,9 +405,11 @@ def _check_aot_parity(models: Dict[str, object],
                                     "bundle does not cover the network")
                         continue
                     if kind == "igkw":
-                        revived = plan.evaluate_grid(grid)
-                        expected = fresh.evaluate_grid(grid)
-                    elif kind == "kw":
+                        mismatch = _retargetable_mismatch(plan, fresh, grid)
+                        if mismatch is not None:
+                            sink.record("CT011", f"{name}/{kind}", mismatch)
+                        continue
+                    if kind == "kw":
                         # the LW plan prices degraded answers
                         revived = (plan.evaluate(),
                                    plan.lw_plan().evaluate())
@@ -433,6 +440,31 @@ def _check_aot_parity(models: Dict[str, object],
                             "instead of being refused")
     except Exception as exc:  # repro: noqa[EX001] reported as finding
         sink.record("CT011", "aot-store", f"AOT round-trip raised {exc!r}")
+
+
+def _retargetable_mismatch(loaded, fresh, grid) -> Optional[str]:
+    """The first difference between an AOT-loaded retargetable plan and
+    the freshly compiled one, or None when they agree exactly.
+
+    Compares the grid, then per target ``price`` and the bound plan's
+    per-layer coverage records, so every persisted column (name, kind,
+    signature, stage, FLOPs, kernel terms) is read back.
+    """
+    # the contract IS exact equality: the AOT plan must replay the fresh
+    # arithmetic, not approximate it
+    got, want = loaded.evaluate_grid(grid), fresh.evaluate_grid(grid)
+    if got != want:  # repro: noqa[FP001]
+        return f"AOT grid {got!r} != fresh {want!r}"
+    for point in grid:
+        got, want = loaded.price(point), fresh.price(point)
+        if got != want:  # repro: noqa[FP001]
+            return f"{point.name}: AOT price {got!r} != fresh {want!r}"
+        records = zip_longest(loaded.bind(point).coverage().layers,
+                              fresh.bind(point).coverage().layers)
+        for got, want in records:
+            if got != want:  # repro: noqa[FP001]
+                return f"{point.name}: AOT layer {got!r} != fresh {want!r}"
+    return None
 
 
 def _check_versioned_store(sink: _Recorder) -> None:

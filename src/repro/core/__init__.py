@@ -50,7 +50,7 @@ from repro.core.plan import (
     OverheadPlan,
     PlanLayer,
     PredictionPlan,
-    RetargetableLayer,
+    RetargetableArrays,
     RetargetablePlan,
 )
 from repro.core.persistence import (
@@ -101,7 +101,7 @@ __all__ = [
     "PerformanceModel",
     "PlanLayer",
     "PredictionPlan",
-    "RetargetableLayer",
+    "RetargetableArrays",
     "RetargetablePlan",
     "SCurve",
     "classification_report",

@@ -31,7 +31,7 @@ from repro.core.kernelwise import (
 )
 from repro.core.layerwise import LayerWiseModel
 from repro.core.linreg import LinearFit, fit_line
-from repro.core.plan import RetargetableLayer, RetargetablePlan
+from repro.core.plan import RetargetableArrays, RetargetablePlan
 from repro.core.signature import layer_signature
 from repro.dataset.builder import PerformanceDataset
 from repro.gpu.specs import GPUSpec
@@ -247,28 +247,29 @@ class InterGPUKernelWiseModel:
         if self.table is None:
             raise RuntimeError("InterGPUKernelWiseModel is not trained")
         training = self.mode == "training"
-        layers = []
-        for info in network.layer_infos(batch_size):
-            signature = layer_signature(info, training=training)
+        infos = network.layer_infos(batch_size)
+        signatures = [layer_signature(info, training=training)
+                      for info in infos]
+        stages = []
+        mapped_terms: Dict[int, Tuple[Tuple[str, float], ...]] = {}
+        for position, (info, signature) in enumerate(zip(infos, signatures)):
             kernels = self.table.lookup(signature)
             if kernels is None or any(name not in self.transfers
                                       for name in kernels):
-                layers.append(RetargetableLayer(
-                    info.name, info.kind, signature, FALLBACK, None,
-                    float(info.flops)))
+                stages.append(FALLBACK)
                 continue
-            stage = (EXACT if self.table.exact_sequence(signature) == kernels
-                     else NEAR)
-            terms = tuple(
+            stages.append(EXACT if self.table.exact_sequence(signature)
+                          == kernels else NEAR)
+            mapped_terms[position] = tuple(
                 (name, feature_value(info, self.transfers[name].feature))
                 for name in kernels)
-            layers.append(RetargetableLayer(
-                info.name, info.kind, signature, stage, terms,
-                float(info.flops)))
-        return RetargetablePlan(self.name, network.name, batch_size,
-                                tuple(layers), self.transfers,
-                                self._metric, self._lw_by_gpu,
-                                self.train_gpus)
+        arrays = RetargetableArrays.lower(
+            [info.name for info in infos], [info.kind for info in infos],
+            signatures, stages, [float(info.flops) for info in infos],
+            mapped_terms)
+        return RetargetablePlan(self.name, network.name, batch_size, arrays,
+                                self.transfers, self._metric,
+                                self._lw_by_gpu, self.train_gpus)
 
     def predict_network(self, network, batch_size: int,
                         target: GPUSpec) -> float:

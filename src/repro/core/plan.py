@@ -250,145 +250,149 @@ class OverheadPlan(PredictionPlan):
         return self.base_plan.coverage()
 
 
-@dataclass(frozen=True)
-class _BatchLowering:
-    """Array form of a retargetable plan, built once per plan.
+@dataclass(frozen=True, eq=False)
+class RetargetableArrays:
+    """The one form of a retargetable plan: layer columns, term matrices.
 
-    The mapped layers' kernel terms are flattened into left-aligned,
-    zero-padded ``(n_mapped, max_terms)`` matrices; padding slots index a
-    dummy kernel row whose synthesised line is identically zero, so a
-    padded term contributes exactly ``0.0`` to its layer's clamped sum
-    and the per-layer accumulation order matches the scalar loop.
+    Layer ``p`` is ``names[p]``, ``kinds[p]``, ``signatures[p]``,
+    ``stages[p]`` and ``flops[p]``. Row ``r`` of the term matrices holds
+    the kernel terms of layer ``mapped_idx[r]``, left-aligned and
+    zero-padded to ``(n_mapped, max_terms)``: ``term_values`` are the
+    feature values and ``term_kidx`` index ``used_kernels``. Padding
+    slots index one past the last kernel, a dummy whose synthesised
+    line is identically zero, so a padded term adds exactly ``0.0`` to
+    its layer's clamped sum. Every layer outside ``mapped_idx`` is on
+    the layer-wise fallback, priced at its FLOPs.
     """
 
-    n_layers: int
-    mapped_idx: np.ndarray      # (n_mapped,) original layer positions
-    term_values: np.ndarray     # (n_mapped, max_terms) feature values
-    term_kidx: np.ndarray       # (n_mapped, max_terms) -> _used_kernels,
-    #                             padding points at the dummy row
-    fallback_idx: np.ndarray    # (n_fallback,) original layer positions
-    fallback_kinds: Tuple[str, ...]
-    fallback_flops: np.ndarray  # (n_fallback,)
+    names: Tuple[str, ...]
+    kinds: Tuple[str, ...]
+    signatures: Tuple[str, ...]
+    stages: Tuple[str, ...]
+    flops: np.ndarray               # (n_layers,)
+    used_kernels: Tuple[str, ...]   # sorted kernel names
+    mapped_idx: np.ndarray          # (n_mapped,) layer positions
+    term_values: np.ndarray         # (n_mapped, max_terms)
+    term_kidx: np.ndarray           # (n_mapped, max_terms)
 
+    def __post_init__(self) -> None:
+        n_layers = len(self.names)
+        if {len(self.kinds), len(self.signatures), len(self.stages),
+                len(self.flops)} != {n_layers}:
+            raise ValueError("layer columns differ in length")
+        if self.term_values.shape != self.term_kidx.shape \
+                or self.term_kidx.shape[0] != len(self.mapped_idx):
+            raise ValueError("term matrices do not match the mapped layers")
+        if self.mapped_idx.size and not (
+                0 <= self.mapped_idx.min() <= self.mapped_idx.max()
+                < n_layers):
+            raise ValueError("mapped layer positions out of range")
+        if self.term_kidx.size and not (
+                0 <= self.term_kidx.min() <= self.term_kidx.max()
+                <= len(self.used_kernels)):
+            raise ValueError("kernel indices exceed the plan's kernel set")
 
-@dataclass(frozen=True)
-class RetargetableLayer:
-    """One layer of an inter-GPU plan, before a target GPU is chosen.
-
-    ``kernel_terms`` pairs each resolved kernel name with the layer's
-    feature value for that kernel's driver; ``None`` marks the
-    layer-wise degradation path (priced against ``flops`` at bind time).
-    """
-
-    layer_name: str
-    kind: str
-    signature: str
-    stage: str
-    kernel_terms: Optional[Tuple[Tuple[str, float], ...]]
-    flops: float
+    @classmethod
+    def lower(cls, names: Sequence[str], kinds: Sequence[str],
+              signatures: Sequence[str], stages: Sequence[str],
+              flops: Sequence[float],
+              mapped_terms: Mapping[int, Sequence[Tuple[str, float]]]
+              ) -> "RetargetableArrays":
+        """Columns plus ``{position: ((kernel, value), ...)}`` for the
+        mapped layers, in ascending position order."""
+        used = tuple(sorted({name for terms in mapped_terms.values()
+                             for name, _ in terms}))
+        kernel_index = {name: i for i, name in enumerate(used)}
+        width = max(map(len, mapped_terms.values()), default=0)
+        values = np.zeros((len(mapped_terms), width))
+        kidx = np.full((len(mapped_terms), width), len(used), dtype=np.intp)
+        for row, terms in enumerate(mapped_terms.values()):
+            for col, (name, value) in enumerate(terms):
+                values[row, col] = value
+                kidx[row, col] = kernel_index[name]
+        return cls(tuple(names), tuple(kinds), tuple(signatures),
+                   tuple(stages), np.asarray(flops, dtype=np.float64), used,
+                   np.asarray(list(mapped_terms), dtype=np.intp), values,
+                   kidx)
 
 
 class RetargetablePlan(PredictionPlan):
     """IGKW lowering: structure resolved once, lines synthesised per GPU.
 
-    Pricing one target synthesises each distinct kernel's regression
-    line for it (exactly once per kernel name, matching ``for_gpu``).
-    ``price(target)`` then sums the plan in one pass; ``lw_plan(target)``
-    is the target's layer-wise fallback plan for degraded answers;
-    ``bind(target)`` returns a fully-resolved :class:`KernelPlan`;
-    ``evaluate_grid`` prices many targets at once. ``evaluate`` and
+    The plan is its :class:`RetargetableArrays`. Pricing one target
+    synthesises each used kernel's regression line for it (exactly once
+    per kernel name, matching ``for_gpu``). ``price(target)`` then sums
+    the plan in one pass; ``lw_plan(target)`` is the target's layer-wise
+    fallback plan for degraded answers; ``bind(target)`` returns a
+    fully-resolved :class:`KernelPlan`; ``evaluate_grid`` prices many
+    targets at once over the term matrices. ``evaluate`` and
     ``coverage`` require a target GPU.
     """
 
     def __init__(self, model_name: str, network_name: str, batch_size: int,
-                 layers: Sequence[RetargetableLayer],
+                 arrays: RetargetableArrays,
                  transfers: Mapping[str, "KernelTransfer"],  # noqa: F821
                  metric, lw_by_gpu: Mapping[str, "LayerWiseModel"],  # noqa: F821
                  train_gpus: Sequence[GPUSpec]) -> None:
         super().__init__(model_name, network_name, batch_size)
-        self.layers = tuple(layers)
+        self.arrays = arrays
         self._transfers = transfers
         self._metric = metric
         self._lw_by_gpu = lw_by_gpu
         self._train_gpus = tuple(train_gpus)
-        self._used_kernels = tuple(sorted(
-            {name for layer in self.layers if layer.kernel_terms
-             for name, _ in layer.kernel_terms}))
-        # the layer an untrained or missing LW fallback is reported on
-        self._first_fallback = next(
-            (layer for layer in self.layers if layer.kernel_terms is None),
-            None)
-        self._batch: Optional[_BatchLowering] = None
-        self._fallback_fits: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        mapped = np.zeros(len(arrays.names), dtype=bool)
+        mapped[arrays.mapped_idx] = True
+        self._fallback_idx = np.flatnonzero(~mapped)
+        self._walk_lists: Optional[List[Tuple]] = None
         # id(lw) -> that LayerWiseModel's plan of this network
         self._lw_plans: Dict[int, LayerSumPlan] = {}
 
-    @property
-    def used_kernels(self) -> Tuple[str, ...]:
-        """Every kernel name the mapped layers reference, sorted."""
-        return self._used_kernels
+    def _walk(self) -> List[Tuple]:
+        """Per layer ``(terms, flops, kind)`` as plain Python values.
 
-    def lowering(self) -> _BatchLowering:
-        """The plan's batch lowering, built on first use and cached."""
-        return self._lowering()
-
-    def install_lowering(self, lowering: _BatchLowering) -> None:
-        """Adopt a precomputed batch lowering (the AOT store's matrices).
-
-        The optimizer persists lowered matrices so a cold service loads
-        them instead of rebuilding; the shape checks reject a lowering
-        that does not belong to this plan's structure.
+        ``terms`` holds the layer's ``(kernel index, value)`` pairs with
+        the padding slots dropped, or is None on the layer-wise
+        fallback. Taken from the arrays once per plan: the scalar walk
+        of ``price``, ``bind`` and ``lw_plan``.
         """
-        if lowering.n_layers != len(self.layers):
-            raise ValueError(
-                f"lowering covers {lowering.n_layers} layers; this plan "
-                f"has {len(self.layers)}")
-        if lowering.term_kidx.size and \
-                int(lowering.term_kidx.max()) > len(self._used_kernels):
-            raise ValueError(
-                "lowering kernel indices exceed this plan's kernel set")
-        self._batch = lowering
-
-    def install_fallback_lines(self, lw, slopes: np.ndarray,
-                               intercepts: np.ndarray) -> None:
-        """Pre-warm one LayerWiseModel's fallback line vectors.
-
-        The optimizer fuses every plan's per-model fallback lines into
-        one shared matrix and installs each plan's gathered rows here;
-        the values are identical to what :meth:`_fallback_line_arrays`
-        would build, so evaluation stays bit-exact.
-        """
-        expected = (len(self._lowering().fallback_kinds),)
-        if slopes.shape != expected or intercepts.shape != expected:
-            raise ValueError(
-                f"fallback line vectors must have shape {expected}, got "
-                f"{slopes.shape} and {intercepts.shape}")
-        self._fallback_fits[id(lw)] = (slopes, intercepts)
+        if self._walk_lists is None:
+            arrays = self.arrays
+            dummy = len(arrays.used_kernels)
+            terms: List[Optional[Tuple[Tuple[int, float], ...]]] = (
+                [None] * len(arrays.names))
+            for position, kidx, values in zip(arrays.mapped_idx.tolist(),
+                                              arrays.term_kidx.tolist(),
+                                              arrays.term_values.tolist()):
+                terms[position] = tuple((k, value)
+                                        for k, value in zip(kidx, values)
+                                        if k != dummy)
+            self._walk_lists = list(zip(terms, arrays.flops.tolist(),
+                                        arrays.kinds))
+        return self._walk_lists
 
     def bind(self, target: GPUSpec) -> KernelPlan:
         """Resolve this plan's lines for one target GPU."""
         lines, lw = self._resolve(target)
+        lw_plan = self._lw_plan_of(lw)
+        arrays = self.arrays
         layers = []
-        for layer in self.layers:
-            if layer.kernel_terms is None:
-                fit = lw.fits.get(layer.kind, lw.fallback)
-                layers.append(PlanLayer(
-                    layer.layer_name, layer.kind, layer.signature,
-                    layer.stage, (), (layer.flops, fit)))
+        for position, (terms, _, kind) in enumerate(self._walk()):
+            header = (arrays.names[position], kind,
+                      arrays.signatures[position], arrays.stages[position])
+            if terms is None:
+                layers.append(PlanLayer(*header, (),
+                                        lw_plan.terms[position]))
             else:
-                terms = tuple((value, lines[name])
-                              for name, value in layer.kernel_terms)
-                layers.append(PlanLayer(
-                    layer.layer_name, layer.kind, layer.signature,
-                    layer.stage, terms))
+                layers.append(PlanLayer(*header, tuple(
+                    (value, lines[k]) for k, value in terms)))
         return KernelPlan(f"{self.model_name}->{target.name}",
                           self.network_name, self.batch_size,
-                          tuple(layers), lw, self._lw_plan_of(lw))
+                          tuple(layers), lw, lw_plan)
 
     def lw_plan(self, target: GPUSpec) -> Optional[LayerSumPlan]:
         """The layer-wise plan of the target's nearest LW model.
 
-        Lowered by :func:`layer_sum_plan` from the plan's own layers and
+        Lowered by :func:`layer_sum_plan` from the plan's own kinds and
         FLOPs, as ``LayerWiseModel.compile`` lowers the network, so its
         ``evaluate()`` is bit-exact with that model's
         ``predict_network``. Built on first use and cached per LW model
@@ -403,7 +407,7 @@ class RetargetablePlan(PredictionPlan):
         if plan is None:
             plan = layer_sum_plan(
                 lw, self.network_name, self.batch_size,
-                ((layer.flops, layer.kind) for layer in self.layers))
+                ((flops, kind) for _, flops, kind in self._walk()))
             self._lw_plans[id(lw)] = plan
         return plan
 
@@ -420,26 +424,25 @@ class RetargetablePlan(PredictionPlan):
         lines, lw = self._resolve(target)
         total = 0.0
         fallback = 0.0
-        for layer in self.layers:
-            if layer.kernel_terms is None:
-                time_us = lw.fits.get(layer.kind, lw.fallback).predict(
-                    layer.flops)
+        for terms, flops, kind in self._walk():
+            if terms is None:
+                time_us = lw.fits.get(kind, lw.fallback).predict(flops)
                 fallback += time_us
             else:
                 time_us = 0.0
-                for name, value in layer.kernel_terms:
+                for k, value in terms:
                     # the PlanLayer clamp: a kernel never takes negative
                     # time, however far the synthesised line extrapolates
-                    time_us += max(0.0, lines[name].predict(value))
+                    time_us += max(0.0, lines[k].predict(value))
             total += time_us
         return total, (0.0 if total == 0 else fallback / total)
 
-    def _resolve(self, target: GPUSpec
-                 ) -> Tuple[Dict[str, LinearFit], object]:
-        """The target's synthesised lines and its checked LW fallback."""
+    def _resolve(self, target: GPUSpec) -> Tuple[List[LinearFit], object]:
+        """The target's synthesised lines, by kernel index, and its
+        checked LW fallback."""
         metric_value = self._metric_value(target)
-        lines = {name: self._transfers[name].line_for_bandwidth(metric_value)
-                 for name in self._used_kernels}
+        lines = [self._transfers[name].line_for_bandwidth(metric_value)
+                 for name in self.arrays.used_kernels]
         return lines, self._target_lw(target)
 
     def _metric_value(self, target: GPUSpec) -> float:
@@ -475,12 +478,14 @@ class RetargetablePlan(PredictionPlan):
         same error from here.
         """
         lw = self._nearest_lw(target)
-        layer = self._first_fallback
-        if layer is not None:
+        if self._fallback_idx.size:
+            first = int(self._fallback_idx[0])
             if lw is None:
                 raise KeyError(
-                    f"no kernel mapping for layer {layer.layer_name!r} "
-                    f"({layer.kind}) and no layer-wise fallback configured")
+                    f"no kernel mapping for layer "
+                    f"{self.arrays.names[first]!r} "
+                    f"({self.arrays.kinds[first]}) and no layer-wise "
+                    "fallback configured")
             if lw.fallback is None:
                 raise RuntimeError("LayerWiseModel is not trained")
         return lw
@@ -490,52 +495,6 @@ class RetargetablePlan(PredictionPlan):
             raise TypeError(_NEEDS_TARGET)
         return self.price(gpu)[0]
 
-    def _lowering(self) -> _BatchLowering:
-        if self._batch is None:
-            kernel_index = {name: i
-                            for i, name in enumerate(self._used_kernels)}
-            dummy = len(self._used_kernels)
-            mapped_idx: List[int] = []
-            mapped_terms: List[Tuple[Tuple[str, float], ...]] = []
-            fallback_idx: List[int] = []
-            fallback_kinds: List[str] = []
-            fallback_flops: List[float] = []
-            for position, layer in enumerate(self.layers):
-                if layer.kernel_terms is None:
-                    fallback_idx.append(position)
-                    fallback_kinds.append(layer.kind)
-                    fallback_flops.append(layer.flops)
-                else:
-                    mapped_idx.append(position)
-                    mapped_terms.append(layer.kernel_terms)
-            max_terms = max((len(t) for t in mapped_terms), default=0)
-            values = np.zeros((len(mapped_terms), max_terms))
-            kidx = np.full((len(mapped_terms), max_terms), dummy,
-                           dtype=np.intp)
-            for row, terms in enumerate(mapped_terms):
-                for col, (name, value) in enumerate(terms):
-                    values[row, col] = value
-                    kidx[row, col] = kernel_index[name]
-            self._batch = _BatchLowering(
-                len(self.layers), np.asarray(mapped_idx, dtype=np.intp),
-                values, kidx, np.asarray(fallback_idx, dtype=np.intp),
-                tuple(fallback_kinds), np.asarray(fallback_flops))
-        return self._batch
-
-    def _fallback_line_arrays(
-            self, lw, lowering: _BatchLowering
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        # per-kind (slope, intercept) vectors over the fallback layers,
-        # cached per LayerWiseModel object (one per training GPU)
-        cached = self._fallback_fits.get(id(lw))
-        if cached is None:
-            fits = [lw.fits.get(kind, lw.fallback)
-                    for kind in lowering.fallback_kinds]
-            cached = (np.asarray([fit.slope for fit in fits]),
-                      np.asarray([fit.intercept for fit in fits]))
-            self._fallback_fits[id(lw)] = cached
-        return cached
-
     def _layer_times(self, targets: Sequence[GPUSpec]) -> np.ndarray:
         """Per-layer, per-target times as an (n_layers, n_targets) array.
 
@@ -544,42 +503,43 @@ class RetargetablePlan(PredictionPlan):
         ``max(0.0, ·)`` clamp, the same left-to-right term accumulation —
         so column ``p`` is bit-exact with ``evaluate(gpu=targets[p])``.
         """
-        lowering = self._lowering()
+        arrays = self.arrays
         n_points = len(targets)
         metric_values = np.asarray(
             [self._metric_value(target) for target in targets])
 
         # one synthesised line per (kernel, target), plus the dummy
         # all-zero row the padding slots index
-        slopes = np.zeros((len(self._used_kernels) + 1, n_points))
-        intercepts = np.zeros((len(self._used_kernels) + 1, n_points))
-        for i, name in enumerate(self._used_kernels):
+        slopes = np.zeros((len(arrays.used_kernels) + 1, n_points))
+        intercepts = np.zeros((len(arrays.used_kernels) + 1, n_points))
+        for i, name in enumerate(arrays.used_kernels):
             slopes[i], intercepts[i] = (
                 self._transfers[name].lines_for_bandwidths(metric_values))
 
-        layer_times = np.zeros((lowering.n_layers, n_points))
-        if lowering.mapped_idx.size:
-            acc = np.zeros((lowering.mapped_idx.size, n_points))
-            for col in range(lowering.term_values.shape[1]):
-                kidx = lowering.term_kidx[:, col]
+        layer_times = np.zeros((len(arrays.names), n_points))
+        if arrays.mapped_idx.size:
+            acc = np.zeros((arrays.mapped_idx.size, n_points))
+            for col in range(arrays.term_values.shape[1]):
+                kidx = arrays.term_kidx[:, col]
                 term = np.maximum(
                     0.0, slopes[kidx]
-                    * lowering.term_values[:, col][:, None]
+                    * arrays.term_values[:, col][:, None]
                     + intercepts[kidx])
                 acc = acc + term
-            layer_times[lowering.mapped_idx] = acc
+            layer_times[arrays.mapped_idx] = acc
 
-        if lowering.fallback_idx.size:
+        if self._fallback_idx.size:
             by_lw: Dict[int, Tuple[object, List[int]]] = {}
             for point, target in enumerate(targets):
                 lw = self._target_lw(target)
                 by_lw.setdefault(id(lw), (lw, []))[1].append(point)
             for lw, points in by_lw.values():
-                fit_slopes, fit_intercepts = (
-                    self._fallback_line_arrays(lw, lowering))
-                times = (fit_slopes * lowering.fallback_flops
-                         + fit_intercepts)
-                layer_times[lowering.fallback_idx[:, None],
+                # each fallback layer's term of the cached LW plan,
+                # priced as LayerSumPlan.evaluate prices it
+                terms = self._lw_plan_of(lw).terms
+                times = np.asarray([terms[p][1].predict(terms[p][0])
+                                    for p in self._fallback_idx.tolist()])
+                layer_times[self._fallback_idx[:, None],
                             np.asarray(points, dtype=np.intp)] = (
                     times[:, None])
         return layer_times
@@ -605,12 +565,11 @@ class RetargetablePlan(PredictionPlan):
         if any(target is None for target in targets):
             raise TypeError(_NEEDS_TARGET)
         layer_times = self._layer_times(targets)
-        lowering = self._lowering()
         total = np.zeros(len(targets))
         for row in layer_times:
             total = total + row
         fallback_total = np.zeros(len(targets))
-        for position in lowering.fallback_idx:
+        for position in self._fallback_idx:
             fallback_total = fallback_total + layer_times[position]
         shares = np.where(total == 0, 0.0,
                           fallback_total / np.where(total == 0, 1.0, total))

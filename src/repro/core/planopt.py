@@ -5,26 +5,24 @@ cost — the graph walk, signature resolution, kernel-table lookups —
 once per process. This module moves that cost out of the process
 entirely:
 
-- **Optimizer passes** over compiled plans: identical regression lines
-  referenced by different layers and different networks are interned
-  into one :class:`LinePool` (the zoo's networks share most of their
-  kernels, so the pool is far smaller than the sum of term references);
-  and the per-plan, per-LayerWiseModel fallback line caches are fused
-  into one matrix per model from which every plan gathers its rows
-  (:class:`FallbackLinePool`).
+- **Interning** across compiled plans: identical regression lines
+  referenced by different layers and different networks are stored once
+  in a :class:`LinePool` (the zoo's networks share most of their
+  kernels, so the pool is far smaller than the sum of term references),
+  and repeated kernel-plan layer bodies once in a :class:`LayerBodyPool`.
 - **An AOT compile store**: :func:`compile_store` lowers every
-  (model, network, batch) combination once and persists the optimized
-  plans — including the retargetable plans' batch-lowering matrices —
-  next to the model files, in a ``plans/`` section the serving
+  (model, network, batch) combination once and persists the plans —
+  a retargetable plan as its layer columns and term matrices — next to
+  the model files, in a ``plans/`` section the serving
   registry's top-level glob never sees. A cold service, the calibration
   promote path, and the fleet's
   :meth:`~repro.fleet.exec_table.ExecTable.from_model` then *load*
-  matrices instead of re-lowering.
+  plans instead of re-lowering.
 
-Every optimized or AOT-loaded plan is **bit-exact** with the
-unoptimized path: interning and fusion only share value-identical
-floats, plan documents round-trip through JSON's shortest-round-trip
-float repr, and the accumulation order is untouched. ``repro check``
+Every AOT-loaded plan is **bit-exact** with the freshly compiled one:
+interning only shares value-identical floats, plan documents
+round-trip through JSON's shortest-round-trip float repr, and the
+accumulation order is untouched. ``repro check``
 enforces this as contract CT011.
 
 Bundles carry a provenance stamp — the model file's registry freshness
@@ -60,14 +58,13 @@ from repro.core.plan import (
     LayerSumPlan,
     PlanLayer,
     PredictionPlan,
-    RetargetableLayer,
+    RetargetableArrays,
     RetargetablePlan,
-    _BatchLowering,
 )
 
 #: Schema version of the plan-bundle payload (independent of the model
 #: document's ``format_version``, which bundles also carry).
-PLAN_FORMAT_VERSION = 1
+PLAN_FORMAT_VERSION = 2
 
 #: Subdirectory of a model directory holding the AOT plan bundles. The
 #: serving registry globs ``*.json`` at the top level only, so bundles
@@ -173,76 +170,6 @@ class LayerBodyPool:
         return pool
 
 
-# -- optimizer passes ---------------------------------------------------------
-
-class FallbackLinePool:
-    """One fused fallback-line matrix per LayerWiseModel.
-
-    ``RetargetablePlan`` keeps a per-plan cache of (slope, intercept)
-    vectors per LayerWiseModel; across a model's plans those vectors
-    gather from the same few fits. This pool builds each model's full
-    (kinds + fallback) line matrix exactly once and installs every
-    plan's rows as gathered views of it — value-identical to what the
-    plan would lazily build, so evaluation stays bit-exact.
-    """
-
-    def __init__(self) -> None:
-        # id(lw) -> (kind -> row, slopes, intercepts); the fallback fit
-        # occupies the final row
-        self._matrices: Dict[int, Tuple[Dict[str, int], np.ndarray,
-                                        np.ndarray]] = {}
-        self.plans_warmed = 0
-        self.rows_gathered = 0
-
-    def _matrix_for(self, lw: LayerWiseModel):
-        cached = self._matrices.get(id(lw))
-        if cached is None:
-            kinds = sorted(lw.fits)
-            rows = {kind: i for i, kind in enumerate(kinds)}
-            fits = [lw.fits[kind] for kind in kinds] + [lw.fallback]
-            cached = (rows,
-                      np.asarray([fit.slope for fit in fits]),
-                      np.asarray([fit.intercept for fit in fits]))
-            self._matrices[id(lw)] = cached
-        return cached
-
-    def warm(self, plan: RetargetablePlan,
-             models: Sequence[LayerWiseModel]) -> None:
-        """Install every given LayerWiseModel's fused rows on the plan."""
-        lowering = plan.lowering()
-        for lw in models:
-            rows, slopes, intercepts = self._matrix_for(lw)
-            fallback_row = len(slopes) - 1
-            gather = np.asarray(
-                [rows.get(kind, fallback_row)
-                 for kind in lowering.fallback_kinds], dtype=np.intp)
-            plan.install_fallback_lines(lw, slopes[gather],
-                                        intercepts[gather])
-            self.rows_gathered += int(gather.size)
-        self.plans_warmed += 1
-
-    @property
-    def models_fused(self) -> int:
-        return len(self._matrices)
-
-
-def optimize_plans(plans: Sequence[PredictionPlan]) -> FallbackLinePool:
-    """Run the in-memory passes over a model's compiled plans.
-
-    Precomputes each retargetable plan's batch lowering and fuses the
-    fallback line caches across them; returns the pool for reporting.
-    """
-    pool = FallbackLinePool()
-    for plan in plans:
-        if not isinstance(plan, RetargetablePlan):
-            continue
-        plan.lowering()
-        models = [plan._nearest_lw(spec) for spec in plan._train_gpus]
-        pool.warm(plan, [lw for lw in dict.fromkeys(models)
-                         if lw is not None])
-    return pool
-
-
 # -- plan (de)serialisation ---------------------------------------------------
 
 def plan_to_dict(plan: PredictionPlan, pool: LinePool,
@@ -250,10 +177,11 @@ def plan_to_dict(plan: PredictionPlan, pool: LinePool,
     """Lower one compiled plan to a JSON-compatible document.
 
     Every regression line is stored as an index into ``pool`` and every
-    layer body (kind, signature, stage, terms — everything but the
-    unique layer name) as an index into ``bodies``; the retargetable
-    plan additionally ships its batch-lowering matrices so a loading
-    process adopts them instead of rebuilding.
+    kernel-plan layer body (kind, signature, stage, terms — everything
+    but the unique layer name) as an index into ``bodies``. A
+    retargetable plan is stored as its :class:`RetargetableArrays`:
+    each layer's name, kind, signature, stage and FLOPs once, and the
+    kernel terms once, in the term matrices.
     """
     base = {"network": plan.network_name, "batch_size": plan.batch_size,
             "model_name": plan.model_name}
@@ -265,25 +193,16 @@ def plan_to_dict(plan: PredictionPlan, pool: LinePool,
                     terms=[[flops, pool.intern(fit)]
                            for flops, fit in plan.terms])
     if isinstance(plan, RetargetablePlan):
-        lowering = plan.lowering()
-        return dict(base, type="retargetable", layers=[
-            [layer.layer_name, bodies.intern(
-                {"kind": layer.kind, "signature": layer.signature,
-                 "stage": layer.stage,
-                 "terms": (None if layer.kernel_terms is None
-                           else [[name, value]
-                                 for name, value in layer.kernel_terms]),
-                 "flops": layer.flops})]
-            for layer in plan.layers],
-            used_kernels=list(plan.used_kernels),
-            lowering={
-                "mapped_idx": lowering.mapped_idx.tolist(),
-                "term_values": lowering.term_values.tolist(),
-                "term_kidx": lowering.term_kidx.tolist(),
-                "fallback_idx": lowering.fallback_idx.tolist(),
-                "fallback_kinds": list(lowering.fallback_kinds),
-                "fallback_flops": lowering.fallback_flops.tolist(),
-            })
+        arrays = plan.arrays
+        return dict(base, type="retargetable",
+                    names=list(arrays.names), kinds=list(arrays.kinds),
+                    signatures=list(arrays.signatures),
+                    stages=list(arrays.stages),
+                    flops=arrays.flops.tolist(),
+                    used_kernels=list(arrays.used_kernels),
+                    mapped_idx=arrays.mapped_idx.tolist(),
+                    term_values=arrays.term_values.tolist(),
+                    term_kidx=arrays.term_kidx.tolist())
     if isinstance(plan, KernelPlan):
         return dict(base, type="kernel", layers=[
             [layer.layer_name, bodies.intern(
@@ -300,16 +219,16 @@ def plan_to_dict(plan: PredictionPlan, pool: LinePool,
         "types: flops, layersum, kernel, retargetable")
 
 
-def _revive_layer(layer_type: type, layer_name: str, body: Dict):
-    """Build one plan layer from its shared body prototype.
+def _revive_layer(layer_name: str, body: Dict) -> PlanLayer:
+    """Build one kernel-plan layer from its shared body prototype.
 
     Same construction pickle uses for frozen dataclasses without slots
     (``object.__new__`` plus a ``__dict__`` fill): a plan's layers are
     the bulk of a bundle load, and skipping the frozen ``__init__`` —
     one guarded ``object.__setattr__`` per field — makes revival ~3x
-    faster. The classes have no ``__post_init__`` to skip.
+    faster. PlanLayer has no ``__post_init__`` to skip.
     """
-    layer = object.__new__(layer_type)
+    layer = object.__new__(PlanLayer)
     layer.__dict__.update(body, layer_name=layer_name)
     return layer
 
@@ -320,10 +239,10 @@ def plan_from_dict(data: Dict, pool: LinePool, bodies: LayerBodyPool,
 
     Single-GPU plans are rebuilt purely from the document and the pools
     (JSON floats round-trip exactly, so evaluation is bit-exact); the
-    retargetable plan reattaches to ``model``'s transfer tables and
-    layer-wise fallbacks and adopts the persisted lowering matrices.
-    Repeated layer bodies are built once and shared, which is most of
-    the loading speedup over re-lowering.
+    retargetable plan reattaches its persisted arrays to ``model``'s
+    transfer tables and layer-wise fallbacks. Repeated kernel-plan layer
+    bodies are built once and shared, which is most of the loading
+    speedup over re-lowering.
     """
     plan_type = data["type"]
     name = data["model_name"]
@@ -344,7 +263,7 @@ def plan_from_dict(data: Dict, pool: LinePool, bodies: LayerBodyPool,
                     "fallback": (None if body["fallback"] is None
                                  else (body["fallback"][0],
                                        pool.fit_at(body["fallback"][1])))}
-        layers = [_revive_layer(PlanLayer, layer_name,
+        layers = [_revive_layer(layer_name,
                                 bodies.revive("kernel", index, kernel_body))
                   for layer_name, index in data["layers"]]
         return KernelPlan(name, network, batch_size, layers,
@@ -354,42 +273,29 @@ def plan_from_dict(data: Dict, pool: LinePool, bodies: LayerBodyPool,
             raise BundleMismatch(
                 "a retargetable plan needs an igkw model to reattach to, "
                 f"got {type(model).__name__}")
-        def retargetable_body(body: Dict) -> Dict:
-            return {"kind": body["kind"], "signature": body["signature"],
-                    "stage": body["stage"],
-                    "kernel_terms": (None if body["terms"] is None
-                                     else tuple((kernel, value)
-                                                for kernel, value
-                                                in body["terms"])),
-                    "flops": body["flops"]}
-        layers = [_revive_layer(RetargetableLayer, layer_name,
-                                bodies.revive("retargetable", index,
-                                              retargetable_body))
-                  for layer_name, index in data["layers"]]
-        plan = RetargetablePlan(name, network, batch_size, layers,
-                                model.transfers, model._metric,
-                                model._lw_by_gpu, model.train_gpus)
-        if list(plan.used_kernels) != data["used_kernels"]:
+        unknown = set(data["used_kernels"]) - set(model.transfers)
+        if unknown:
             raise BundleMismatch(
-                f"bundle plan for {network!r} references kernels "
-                "the model no longer maps the same way")
-        low = data["lowering"]
-        n_mapped = len(low["mapped_idx"])
-        term_values = np.asarray(low["term_values"], dtype=np.float64)
-        term_kidx = np.asarray(low["term_kidx"], dtype=np.intp)
+                f"bundle plan for {network!r} references kernels the "
+                f"model does not map: {sorted(unknown)}")
+        n_mapped = len(data["mapped_idx"])
+        term_values = np.asarray(data["term_values"], dtype=np.float64)
+        term_kidx = np.asarray(data["term_kidx"], dtype=np.intp)
         if term_values.ndim != 2:
             # JSON can't tell (0, k) and (n, 0) matrices from flat [];
             # a plan with no mapped layers has no term columns either
             term_values = term_values.reshape(n_mapped, 0)
             term_kidx = term_kidx.reshape(n_mapped, 0)
-        plan.install_lowering(_BatchLowering(
-            len(layers),
-            np.asarray(low["mapped_idx"], dtype=np.intp),
-            term_values, term_kidx,
-            np.asarray(low["fallback_idx"], dtype=np.intp),
-            tuple(low["fallback_kinds"]),
-            np.asarray(low["fallback_flops"], dtype=np.float64)))
-        return plan
+        arrays = RetargetableArrays(
+            tuple(data["names"]), tuple(data["kinds"]),
+            tuple(data["signatures"]), tuple(data["stages"]),
+            np.asarray(data["flops"], dtype=np.float64),
+            tuple(data["used_kernels"]),
+            np.asarray(data["mapped_idx"], dtype=np.intp),
+            term_values, term_kidx)
+        return RetargetablePlan(name, network, batch_size, arrays,
+                                model.transfers, model._metric,
+                                model._lw_by_gpu, model.train_gpus)
     raise BundleMismatch(f"unknown plan type {plan_type!r}")
 
 
@@ -432,14 +338,9 @@ def build_bundle(model, model_path, networks: Sequence,
     digest, stamp = _model_digest(model_path)
     pool = LinePool()
     bodies = LayerBodyPool()
-    plans = []
-    compiled = []
-    for network in networks:
-        for batch_size in batch_sizes:
-            plan = model.compile(network, int(batch_size))
-            compiled.append(plan)
-            plans.append(plan_to_dict(plan, pool, bodies))
-    optimize_plans(compiled)
+    plans = [plan_to_dict(model.compile(network, int(batch_size)), pool,
+                          bodies)
+             for network in networks for batch_size in batch_sizes]
     return {
         "format_version": FORMAT_VERSION,
         "plan_format": PLAN_FORMAT_VERSION,
@@ -465,9 +366,8 @@ def load_bundle(model_path, model) -> Dict[Tuple[str, int], PredictionPlan]:
     Raises :class:`FileNotFoundError` when no bundle exists and
     :class:`BundleMismatch` when the bundle is stale (its recorded
     SHA-256 no longer matches the model file's bytes), of a foreign
-    schema version, or structurally inconsistent with ``model``. The
-    revived retargetable plans come pre-warmed: persisted lowering
-    matrices installed and fallback lines fused across plans.
+    schema version (an older bundle is refused, not misread), or
+    structurally inconsistent with ``model``.
     """
     model_path = Path(model_path)
     path = bundle_path_for(model_path)
@@ -494,7 +394,6 @@ def load_bundle(model_path, model) -> Dict[Tuple[str, int], PredictionPlan]:
     for entry in document["plans"]:
         plan = plan_from_dict(entry, pool, bodies, model)
         plans[(plan.network_name, plan.batch_size)] = plan
-    optimize_plans(list(plans.values()))
     return plans
 
 

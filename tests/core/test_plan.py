@@ -238,7 +238,7 @@ class TestPlanReuseAcrossTargets:
         assert bound.lw_model is lw
         assert bound.lw_plan() is plan.lw_plan(target)
         assert plan.lw_plan(target) is plan.lw_plan(target)
-        assert len(bound.lw_plan().terms) == len(plan.layers)
-        assert all(fit is lw.fits.get(layer.kind, lw.fallback)
-                   for (_, fit), layer in zip(bound.lw_plan().terms,
-                                              plan.layers))
+        assert len(bound.lw_plan().terms) == len(plan.arrays.kinds)
+        assert all(fit is lw.fits.get(kind, lw.fallback)
+                   for (_, fit), kind in zip(bound.lw_plan().terms,
+                                             plan.arrays.kinds))

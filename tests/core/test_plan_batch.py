@@ -10,6 +10,8 @@ degenerate-input contracts.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -96,9 +98,10 @@ class TestGridSemantics:
         assert times[0] == plan.evaluate(gpu=target)
 
     def test_lowering_is_cached(self, igkw_model):
+        # the scalar walk's lists are taken from the arrays once per plan
         plan = igkw_model.compile(zoo.build("resnet18"), PARITY_BS)
-        plan.evaluate_many([gpu("V100")])
-        assert plan._lowering() is plan._lowering()
+        plan.price(gpu("V100"))
+        assert plan._walk() is plan._walk()
 
 
 class TestEvaluateGrid:
@@ -121,11 +124,14 @@ class TestEvaluateGrid:
 
 def _fallback_plan(plan, lw_by_gpu):
     """``plan`` with every layer forced onto the layer-wise fallback."""
+    arrays = plan.arrays
     return type(plan)(
         plan.model_name, plan.network_name, plan.batch_size,
-        [type(layer)(layer.layer_name, layer.kind, layer.signature,
-                     "layer-wise-fallback", None, layer.flops)
-         for layer in plan.layers],
+        dataclasses.replace(
+            arrays, stages=("layer-wise-fallback",) * len(arrays.names),
+            used_kernels=(), mapped_idx=np.zeros(0, dtype=np.intp),
+            term_values=np.zeros((0, 0)),
+            term_kidx=np.zeros((0, 0), dtype=np.intp)),
         plan._transfers, plan._metric, lw_by_gpu, plan._train_gpus)
 
 

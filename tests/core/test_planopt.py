@@ -1,6 +1,6 @@
 """Plan optimizer + AOT compile store: every pass is bit-exact.
 
-The optimizer (line interning, fused fallback lines) and the persisted
+The optimizer (line and layer-body interning) and the persisted
 bundles exist purely to move work earlier; the suite's job is proving
 they never move a *number*. Exact float equality is the
 contract here, not a test smell: an AOT-loaded plan replays the fresh
@@ -18,7 +18,6 @@ from repro.core.linreg import LinearFit
 from repro.core.plan import RetargetablePlan
 from repro.core.planopt import (
     BundleMismatch,
-    FallbackLinePool,
     LayerBodyPool,
     LinePool,
     build_bundle,
@@ -27,7 +26,6 @@ from repro.core.planopt import (
     compile_store,
     load_bundle,
     load_plans,
-    optimize_plans,
     plan_from_dict,
     plan_to_dict,
     save_bundle,
@@ -96,35 +94,6 @@ class TestLinePool:
         revived = LinePool.from_list(json.loads(json.dumps(pool.to_list())))
         # shortest-round-trip repr: the floats come back identical
         assert revived.fit_at(0) == pool.fit_at(0)
-
-
-class TestFallbackFusion:
-    def test_warm_is_bit_exact_with_lazy(self, models):
-        network = zoo.build("squeezenet1_1")   # exercises fallback layers
-        target = gpu("V100")
-        fresh = models["igkw"].compile(network, PARITY_BS)
-        expected = fresh.evaluate(gpu=target)
-        warmed = models["igkw"].compile(network, PARITY_BS)
-        optimize_plans([warmed])
-        assert warmed.evaluate(gpu=target) == expected
-
-    def test_fuses_one_matrix_per_model(self, models):
-        plans = [models["igkw"].compile(zoo.build(name), PARITY_BS)
-                 for name in ("resnet18", "resnet34", "squeezenet1_1")]
-        pool = optimize_plans(plans)
-        assert pool.plans_warmed == 3
-        # three plans, but the campaign trained two GPUs sharing LW
-        # fallbacks — far fewer matrices than plans x models
-        assert pool.models_fused <= 2
-        gathered = sum(len(plan.lowering().fallback_kinds)
-                       for plan in plans) * pool.models_fused
-        assert pool.rows_gathered == gathered
-
-    def test_pool_ignores_non_retargetable(self, models):
-        pool = optimize_plans(
-            [models["kw"].compile(zoo.build("resnet18"), PARITY_BS)])
-        assert isinstance(pool, FallbackLinePool)
-        assert pool.plans_warmed == 0
 
 
 def _round_trip(plan, model):
@@ -221,7 +190,9 @@ class TestBundleProvenance:
         with pytest.raises(BundleMismatch, match="compiled for"):
             load_bundle(path, models["lw"])
 
-    def test_foreign_plan_format_is_refused(self, models, tmp_path):
+    @pytest.mark.parametrize("plan_format", [1, 999])
+    def test_foreign_plan_format_is_refused(self, models, tmp_path,
+                                            plan_format):
         path = tmp_path / "e2e.json"
         save_model(models["e2e"], path)
         save_bundle(build_bundle(models["e2e"], path,
@@ -229,10 +200,13 @@ class TestBundleProvenance:
                     path)
         bundle_path = bundle_path_for(path)
         document = json.loads(bundle_path.read_text())
-        document["plan_format"] = 999
+        document["plan_format"] = plan_format
         bundle_path.write_text(json.dumps(document))
         with pytest.raises(BundleMismatch, match="plan format"):
             load_bundle(path, models["e2e"])
+        # an older or newer bundle degrades to lazy compiles, never a
+        # misread plan
+        assert load_plans(path, models["e2e"]) == {}
 
     def test_load_plans_degrades_to_empty(self, models, tmp_path):
         path = tmp_path / "e2e.json"
