@@ -13,7 +13,9 @@ has answered its first request.
 
 from __future__ import annotations
 
-from _shared import best_of, emit, once
+import time
+
+from _shared import emit, once
 
 from repro import core
 from repro.core.planopt import compile_store
@@ -53,13 +55,25 @@ def test_warm_store_speeds_up_cold_start(benchmark, tmp_path_factory):
                                  "batch_size": BATCH_SIZE})
                 for name in ROSTER]
 
-    cold_s, cold = best_of(lambda: first_predictions(bare_dir))
-    warm_s, warm = once(
-        benchmark, lambda: best_of(lambda: first_predictions(aot_dir)))
+    def interleaved(rounds=5):
+        # one cold and one warm start per round, best of each: a slow
+        # spell of the host then lands on both sides, not on one
+        best = {}
+        for _ in range(rounds):
+            for directory in (bare_dir, aot_dir):
+                start = time.perf_counter()
+                responses = first_predictions(directory)
+                elapsed = time.perf_counter() - start
+                if elapsed < best.get(directory, (float("inf"),))[0]:
+                    best[directory] = (elapsed, responses)
+        return best[bare_dir], best[aot_dir]
+
+    (cold_s, cold), (warm_s, warm) = once(benchmark, interleaved)
     speedup = cold_s / warm_s
 
     text = (f"cold start to first /predict on {len(ROSTER)} deep "
-            f"networks @ bs{BATCH_SIZE} (best of 5):\n"
+            f"networks @ bs{BATCH_SIZE} (best of 5 interleaved "
+            f"rounds):\n"
             f"  no bundle (lazy lowering): {cold_s * 1e3:8.2f} ms\n"
             f"  warm store (AOT plans):    {warm_s * 1e3:8.2f} ms\n"
             f"  speedup:                   {speedup:8.1f}x")

@@ -36,9 +36,11 @@ cross-checks:
          retargetable plan's numpy grid replays the scalar arithmetic
          bit-for-bit across heterogeneous targets, its one-target
          ``price`` pass returning each grid point's (total, fallback
-         share) pair exactly, and its ``lw_plan(target)`` evaluating
-         exactly to the nearest LW model's direct per-layer sum.
-         (Shares CT007's
+         share) pair exactly, its ``lw_plan(target)`` evaluating
+         exactly to the nearest LW model's direct per-layer sum, and
+         its one synthesis pass (``kernel_lines``) giving every used
+         kernel exactly the scalar ``line_for_bandwidth`` line per
+         target. (Shares CT007's
          trained campaign, so it too runs only on the full sweep.)
 - CT010  every placement policy in the fleet registry
          (:func:`repro.fleet.policy_names`) is exercised by the
@@ -261,8 +263,9 @@ def _check_plan_parity(networks: Dict[str, object], batch_size: int,
     CT009: ``evaluate_many`` over a target grid must reproduce the
     scalar ``evaluate`` point by point, a retargetable plan's
     ``price`` must reproduce ``evaluate_grid``'s (total, share) pairs,
-    and its ``lw_plan(target)`` the nearest LW model's direct sum,
-    bit-exactly.
+    its ``lw_plan(target)`` the nearest LW model's direct sum, and its
+    ``kernel_lines`` the scalar ``line_for_bandwidth`` of every used
+    kernel, bit-exactly.
     """
     from repro import zoo
     from repro.core.workflow import train_inter_gpu_model, train_model
@@ -310,6 +313,20 @@ def _check_plan_parity(networks: Dict[str, object], batch_size: int,
     def batch_parity(kind: str, plan, network) -> Optional[str]:
         """CT009 for one plan: mismatch description, or None when exact."""
         if kind == "igkw":
+            # the one synthesis pass both pricing paths read replays the
+            # scalar line of every used kernel on every target
+            slopes, intercepts = plan.kernel_lines(grid)
+            for point, spec in enumerate(grid):
+                metric = igkw._metric(spec)
+                for i, kernel in enumerate(plan.arrays.used_kernels):
+                    line = igkw.transfers[kernel].line_for_bandwidth(metric)
+                    synthesised = (float(slopes[i, point]),
+                                   float(intercepts[i, point]))
+                    scalar_line = (line.slope, line.intercept)
+                    if synthesised != scalar_line:  # repro: noqa[FP001]
+                        return (f"kernel_lines {kernel!r} on {spec.name!r}: "
+                                f"{synthesised!r} != line_for_bandwidth "
+                                f"{scalar_line!r}")
             # the scalar pass prices (total, share) exactly as the grid
             priced = [plan.price(point) for point in grid]
             gridded = list(zip(*plan.evaluate_grid(grid)))

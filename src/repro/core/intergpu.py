@@ -18,8 +18,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.classification import FEATURES, classify_kernels
 from repro.core.coverage import EXACT, FALLBACK, NEAR
 from repro.core.kernelwise import (
@@ -39,7 +37,16 @@ from repro.gpu.specs import GPUSpec
 
 @dataclass(frozen=True)
 class KernelTransfer:
-    """Cross-GPU transfer model of one kernel's regression line."""
+    """Cross-GPU transfer model of one kernel's regression line.
+
+    :meth:`line_for_bandwidth` is the scalar synthesis: ``for_gpu`` and
+    ``RetargetablePlan.bind`` call it per kernel. A compiled plan's
+    ``kernel_lines`` replays its healthy-rate arithmetic over the four
+    coefficients of ``rate_fit`` and ``intercept_fit`` for all of its
+    kernels and targets in one array pass, and hands the cells whose
+    extrapolated rate is non-positive to :meth:`ratio_scaled`, the
+    branch this method takes for them.
+    """
 
     kernel_name: str
     feature: str
@@ -54,8 +61,7 @@ class KernelTransfer:
         ``bandwidth_gbs`` must be positive: both synthesis branches
         divide by it, so a non-positive value is rejected up front with
         one deterministic error instead of a branch-dependent
-        ``ZeroDivisionError`` (or, worse, a silent ``inf`` on the
-        vectorised path).
+        ``ZeroDivisionError``.
         """
         if bandwidth_gbs <= 0.0:
             raise ValueError(
@@ -63,51 +69,23 @@ class KernelTransfer:
                 f"positive, got {bandwidth_gbs!r}")
         rate = self.rate_fit.predict(bandwidth_gbs)
         if rate <= 0.0:
-            # extrapolation broke down: scale the nearest observed GPU's
-            # line by the bandwidth ratio instead
-            nearest = min(self.gpu_bandwidths,
-                          key=lambda g: abs(self.gpu_bandwidths[g]
-                                            - bandwidth_gbs))
-            observed = self.per_gpu[nearest]
-            scale = self.gpu_bandwidths[nearest] / bandwidth_gbs
-            return LinearFit(observed.slope * scale,
-                             observed.intercept * scale, 0.0,
-                             observed.n_samples)
+            slope, intercept, n_samples = self.ratio_scaled(bandwidth_gbs)
+            return LinearFit(slope, intercept, 0.0, n_samples)
         intercept = max(0.0, self.intercept_fit.predict(1.0 / bandwidth_gbs))
         return LinearFit(1.0 / rate, intercept, 0.0,
                          sum(fit.n_samples for fit in self.per_gpu.values()))
 
-    def lines_for_bandwidths(
-            self, bandwidths_gbs: "np.ndarray"
-    ) -> Tuple["np.ndarray", "np.ndarray"]:
-        """Vectorised :meth:`line_for_bandwidth`: per-point (slope, intercept).
-
-        Bit-exact with the scalar method: the healthy-rate path is the
-        same ``slope * x + intercept`` arithmetic elementwise in IEEE
-        doubles, and any point whose extrapolated rate is non-positive
-        is delegated to the scalar ratio-scaling branch. Non-positive
-        bandwidths are masked out of the vectorised columns (they would
-        otherwise divide to a silent ``inf``) and delegated to the
-        scalar method, which raises the same ``ValueError`` for them —
-        a degenerate point never contaminates a healthy column.
-        """
-        bandwidths = np.asarray(bandwidths_gbs, dtype=np.float64)
-        rates = (self.rate_fit.slope * bandwidths
-                 + self.rate_fit.intercept)
-        slopes = np.empty_like(bandwidths)
-        intercepts = np.empty_like(bandwidths)
-        good = (rates > 0.0) & (bandwidths > 0.0)
-        if good.any():
-            slopes[good] = 1.0 / rates[good]
-            intercepts[good] = np.maximum(
-                0.0, self.intercept_fit.slope * (1.0 / bandwidths[good])
-                + self.intercept_fit.intercept)
-        if not good.all():
-            for i in np.nonzero(~good)[0]:
-                line = self.line_for_bandwidth(float(bandwidths[i]))
-                slopes[i] = line.slope
-                intercepts[i] = line.intercept
-        return slopes, intercepts
+    def ratio_scaled(self, bandwidth_gbs: float) -> Tuple[float, float, int]:
+        """``(slope, intercept, n_samples)`` where the rate fit's
+        extrapolation broke down: the nearest observed GPU's line scaled
+        by the bandwidth ratio. ``bandwidth_gbs`` must be positive."""
+        nearest = min(self.gpu_bandwidths,
+                      key=lambda g: abs(self.gpu_bandwidths[g]
+                                        - bandwidth_gbs))
+        observed = self.per_gpu[nearest]
+        scale = self.gpu_bandwidths[nearest] / bandwidth_gbs
+        return (observed.slope * scale, observed.intercept * scale,
+                observed.n_samples)
 
 
 #: Selectable hardware metrics the second-level regression can use.

@@ -316,17 +316,34 @@ class RetargetableArrays:
                    kidx)
 
 
+def _sum_rows(rows: np.ndarray) -> np.ndarray:
+    """Column sums of ``rows``, added row by row from ``0.0``.
+
+    That is the scalar outer loop's order: ``np.add.accumulate`` is
+    sequential where ``np.sum`` is pairwise, and the leading ``0.0 +``
+    turns a sum of ``-0.0`` rows into the scalar loop's ``+0.0``.
+    """
+    if not len(rows):
+        return np.zeros(rows.shape[1])
+    return 0.0 + np.add.accumulate(rows, axis=0)[-1]
+
+
 class RetargetablePlan(PredictionPlan):
     """IGKW lowering: structure resolved once, lines synthesised per GPU.
 
-    The plan is its :class:`RetargetableArrays`. Pricing one target
-    synthesises each used kernel's regression line for it (exactly once
-    per kernel name, matching ``for_gpu``). ``price(target)`` then sums
-    the plan in one pass; ``lw_plan(target)`` is the target's layer-wise
-    fallback plan for degraded answers; ``bind(target)`` returns a
-    fully-resolved :class:`KernelPlan`; ``evaluate_grid`` prices many
-    targets at once over the term matrices. ``evaluate`` and
-    ``coverage`` require a target GPU.
+    The plan is its :class:`RetargetableArrays`. Everything that does
+    not depend on the target is taken once per plan: the scalar walk,
+    the four second-level coefficient columns of the used kernels, and,
+    per layer-wise model, the fallback layers' times.
+    :meth:`kernel_lines` then synthesises every used kernel's line for
+    every target in one array pass, which ``price(target)`` (one target,
+    walked in plain floats) and ``evaluate_grid`` (many targets, over
+    the term matrices) both read. ``bind(target)`` returns a
+    fully-resolved :class:`KernelPlan` built through the scalar
+    ``KernelTransfer.line_for_bandwidth``, the independent reference the
+    other paths are checked against; ``lw_plan(target)`` is the
+    target's layer-wise fallback plan for degraded answers.
+    ``evaluate`` and ``coverage`` require a target GPU.
     """
 
     def __init__(self, model_name: str, network_name: str, batch_size: int,
@@ -343,17 +360,19 @@ class RetargetablePlan(PredictionPlan):
         mapped = np.zeros(len(arrays.names), dtype=bool)
         mapped[arrays.mapped_idx] = True
         self._fallback_idx = np.flatnonzero(~mapped)
-        self._walk_lists: Optional[List[Tuple]] = None
+        self._walk_lists: Optional[List] = None
+        self._coefficient_columns: Optional[Tuple[np.ndarray, ...]] = None
         # id(lw) -> that LayerWiseModel's plan of this network
         self._lw_plans: Dict[int, LayerSumPlan] = {}
+        # id(lw) -> the fallback layers' times under it, in layer order
+        self._fallback_times: Dict[int, List[float]] = {}
 
-    def _walk(self) -> List[Tuple]:
-        """Per layer ``(terms, flops, kind)`` as plain Python values.
+    def _walk(self) -> List[Optional[Tuple[Tuple[int, float], ...]]]:
+        """Per layer, its ``(kernel index, value)`` terms.
 
-        ``terms`` holds the layer's ``(kernel index, value)`` pairs with
-        the padding slots dropped, or is None on the layer-wise
-        fallback. Taken from the arrays once per plan: the scalar walk
-        of ``price``, ``bind`` and ``lw_plan``.
+        Padding slots are dropped; a layer on the layer-wise fallback
+        has None. Taken from the arrays once per plan: the scalar walk
+        of ``price`` and ``bind``.
         """
         if self._walk_lists is None:
             arrays = self.arrays
@@ -366,18 +385,82 @@ class RetargetablePlan(PredictionPlan):
                 terms[position] = tuple((k, value)
                                         for k, value in zip(kidx, values)
                                         if k != dummy)
-            self._walk_lists = list(zip(terms, arrays.flops.tolist(),
-                                        arrays.kinds))
+            self._walk_lists = terms
         return self._walk_lists
 
+    def _coefficients(self) -> Tuple[np.ndarray, ...]:
+        """``(rate slope, rate intercept, intercept slope, intercept
+        intercept)`` of the used kernels' transfers, one
+        ``(n_kernels + 1, 1)`` column each, gathered once per plan.
+
+        The last row is the dummy kernel the padding slots index: an
+        infinite rate and no intercept, so its synthesised line is
+        identically zero.
+        """
+        if self._coefficient_columns is None:
+            rows = []
+            for name in self.arrays.used_kernels:
+                transfer = self._transfers[name]
+                rows.append((transfer.rate_fit.slope,
+                             transfer.rate_fit.intercept,
+                             transfer.intercept_fit.slope,
+                             transfer.intercept_fit.intercept))
+            rows.append((0.0, math.inf, 0.0, 0.0))
+            self._coefficient_columns = tuple(
+                column[:, None] for column in np.array(rows).T)
+        return self._coefficient_columns
+
+    def kernel_lines(self, targets: Sequence[GPUSpec]
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+        """Every used kernel's synthesised line for every target.
+
+        ``(slopes, intercepts)``, each ``(n_kernels + 1, n_targets)``:
+        row ``i`` is ``arrays.used_kernels[i]``, the last row the
+        all-zero dummy. One array pass replays
+        ``KernelTransfer.line_for_bandwidth`` op for op — ``rate = a*m
+        + b``, ``slope = 1/rate``, ``intercept = max(0, c*(1/m) + d)``
+        in IEEE doubles — and only cells whose rate is non-positive go
+        to the scalar ratio-scaling branch,
+        ``KernelTransfer.ratio_scaled``, so every cell equals the scalar
+        line. Each target's metric is checked by :meth:`_metric_value`
+        first.
+        """
+        metric_values = np.array([self._metric_value(target)
+                                  for target in targets])
+        rate_slope, rate_icpt, icpt_slope, icpt_icpt = self._coefficients()
+        rates = rate_slope * metric_values + rate_icpt
+        intercepts = np.maximum(
+            0.0, icpt_slope * (1.0 / metric_values) + icpt_icpt)
+        broken = rates <= 0.0
+        if not broken.any():
+            return 1.0 / rates, intercepts
+        slopes = 1.0 / np.where(broken, 1.0, rates)
+        rows, points = np.nonzero(broken)
+        used = self.arrays.used_kernels
+        metrics = metric_values.tolist()
+        scaled = [self._transfers[used[i]].ratio_scaled(metrics[point])
+                  for i, point in zip(rows.tolist(), points.tolist())]
+        slopes[rows, points] = [line[0] for line in scaled]
+        intercepts[rows, points] = [line[1] for line in scaled]
+        return slopes, intercepts
+
     def bind(self, target: GPUSpec) -> KernelPlan:
-        """Resolve this plan's lines for one target GPU."""
-        lines, lw = self._resolve(target)
+        """Resolve this plan's lines for one target GPU.
+
+        Each used kernel's line comes from the scalar
+        ``KernelTransfer.line_for_bandwidth``, not from
+        :meth:`kernel_lines`, so a bound plan is the independent
+        reference for ``price`` and ``evaluate_grid``.
+        """
+        metric_value = self._metric_value(target)
+        lw = self._target_lw(target)
+        lines = [self._transfers[name].line_for_bandwidth(metric_value)
+                 for name in self.arrays.used_kernels]
         lw_plan = self._lw_plan_of(lw)
         arrays = self.arrays
         layers = []
-        for position, (terms, _, kind) in enumerate(self._walk()):
-            header = (arrays.names[position], kind,
+        for position, terms in enumerate(self._walk()):
+            header = (arrays.names[position], arrays.kinds[position],
                       arrays.signatures[position], arrays.stages[position])
             if terms is None:
                 layers.append(PlanLayer(*header, (),
@@ -407,43 +490,58 @@ class RetargetablePlan(PredictionPlan):
         if plan is None:
             plan = layer_sum_plan(
                 lw, self.network_name, self.batch_size,
-                ((flops, kind) for _, flops, kind in self._walk()))
+                zip(self.arrays.flops.tolist(), self.arrays.kinds))
             self._lw_plans[id(lw)] = plan
         return plan
+
+    def _fallback_times_of(self, lw) -> List[float]:
+        """The fallback layers' times under ``lw``, in layer order.
+
+        Each is its term of the cached LW plan priced as
+        ``LayerSumPlan.evaluate`` prices it; they depend on nothing but
+        the LW model, so they are computed once per LW model.
+        """
+        if not self._fallback_idx.size:
+            return []
+        times = self._fallback_times.get(id(lw))
+        if times is None:
+            terms = self._lw_plan_of(lw).terms
+            times = [terms[position][1].predict(terms[position][0])
+                     for position in self._fallback_idx.tolist()]
+            self._fallback_times[id(lw)] = times
+        return times
 
     def price(self, target: GPUSpec) -> Tuple[float, float]:
         """(predicted us, fallback time share) for one target, one pass.
 
-        The scalar twin of :meth:`evaluate_grid`: no KernelPlan is
-        materialised, yet the accumulation is ``bind(target)``'s —
-        per-layer clamped kernel sums, then an outer sum over layers in
-        graph order — so the pair is bit-exact with
-        ``bind(target).evaluate()`` and
-        ``bind(target).fallback_time_share()``.
+        No KernelPlan is materialised, yet the accumulation is
+        ``bind(target)``'s — per-layer clamped kernel sums, then an
+        outer sum over layers in graph order — so the pair is bit-exact
+        with ``bind(target).evaluate()`` and
+        ``bind(target).fallback_time_share()``. The lines are column 0
+        of :meth:`kernel_lines`, walked as plain floats.
         """
-        lines, lw = self._resolve(target)
+        slopes, intercepts = self.kernel_lines([target])
+        s = slopes[:, 0].tolist()
+        c = intercepts[:, 0].tolist()
+        fallback_times = iter(self._fallback_times_of(
+            self._target_lw(target)))
         total = 0.0
         fallback = 0.0
-        for terms, flops, kind in self._walk():
+        for terms in self._walk():
             if terms is None:
-                time_us = lw.fits.get(kind, lw.fallback).predict(flops)
+                time_us = next(fallback_times)
                 fallback += time_us
             else:
                 time_us = 0.0
                 for k, value in terms:
-                    # the PlanLayer clamp: a kernel never takes negative
+                    # the PlanLayer clamp, max(0.0, t) exactly (NaN and
+                    # -0.0 included): a kernel never takes negative
                     # time, however far the synthesised line extrapolates
-                    time_us += max(0.0, lines[k].predict(value))
+                    t = s[k] * value + c[k]
+                    time_us += t if t > 0.0 else 0.0
             total += time_us
         return total, (0.0 if total == 0 else fallback / total)
-
-    def _resolve(self, target: GPUSpec) -> Tuple[List[LinearFit], object]:
-        """The target's synthesised lines, by kernel index, and its
-        checked LW fallback."""
-        metric_value = self._metric_value(target)
-        lines = [self._transfers[name].line_for_bandwidth(metric_value)
-                 for name in self.arrays.used_kernels]
-        return lines, self._target_lw(target)
 
     def _metric_value(self, target: GPUSpec) -> float:
         """The target's driver metric, checked once per target.
@@ -505,43 +603,28 @@ class RetargetablePlan(PredictionPlan):
         """
         arrays = self.arrays
         n_points = len(targets)
-        metric_values = np.asarray(
-            [self._metric_value(target) for target in targets])
-
-        # one synthesised line per (kernel, target), plus the dummy
-        # all-zero row the padding slots index
-        slopes = np.zeros((len(arrays.used_kernels) + 1, n_points))
-        intercepts = np.zeros((len(arrays.used_kernels) + 1, n_points))
-        for i, name in enumerate(arrays.used_kernels):
-            slopes[i], intercepts[i] = (
-                self._transfers[name].lines_for_bandwidths(metric_values))
+        slopes, intercepts = self.kernel_lines(targets)
+        # every term of every mapped layer at once, (n_mapped, width,
+        # n_points), then each layer's terms added left to right
+        terms = slopes[arrays.term_kidx]
+        terms *= arrays.term_values[:, :, None]
+        terms += intercepts[arrays.term_kidx]
+        np.maximum(0.0, terms, out=terms)
+        acc = np.zeros((arrays.mapped_idx.size, n_points))
+        for col in range(terms.shape[1]):
+            acc += terms[:, col]
+        if not self._fallback_idx.size:
+            return acc          # every layer is mapped, in layer order
 
         layer_times = np.zeros((len(arrays.names), n_points))
-        if arrays.mapped_idx.size:
-            acc = np.zeros((arrays.mapped_idx.size, n_points))
-            for col in range(arrays.term_values.shape[1]):
-                kidx = arrays.term_kidx[:, col]
-                term = np.maximum(
-                    0.0, slopes[kidx]
-                    * arrays.term_values[:, col][:, None]
-                    + intercepts[kidx])
-                acc = acc + term
-            layer_times[arrays.mapped_idx] = acc
-
-        if self._fallback_idx.size:
-            by_lw: Dict[int, Tuple[object, List[int]]] = {}
-            for point, target in enumerate(targets):
-                lw = self._target_lw(target)
-                by_lw.setdefault(id(lw), (lw, []))[1].append(point)
-            for lw, points in by_lw.values():
-                # each fallback layer's term of the cached LW plan,
-                # priced as LayerSumPlan.evaluate prices it
-                terms = self._lw_plan_of(lw).terms
-                times = np.asarray([terms[p][1].predict(terms[p][0])
-                                    for p in self._fallback_idx.tolist()])
-                layer_times[self._fallback_idx[:, None],
-                            np.asarray(points, dtype=np.intp)] = (
-                    times[:, None])
+        layer_times[arrays.mapped_idx] = acc
+        by_lw: Dict[int, Tuple[object, List[int]]] = {}
+        for point, target in enumerate(targets):
+            lw = self._target_lw(target)
+            by_lw.setdefault(id(lw), (lw, []))[1].append(point)
+        for lw, points in by_lw.values():
+            layer_times[self._fallback_idx[:, None], points] = np.array(
+                self._fallback_times_of(lw))[:, None]
         return layer_times
 
     def evaluate_many(self, gpus: Sequence[Optional[GPUSpec]]
@@ -565,15 +648,11 @@ class RetargetablePlan(PredictionPlan):
         if any(target is None for target in targets):
             raise TypeError(_NEEDS_TARGET)
         layer_times = self._layer_times(targets)
-        total = np.zeros(len(targets))
-        for row in layer_times:
-            total = total + row
-        fallback_total = np.zeros(len(targets))
-        for position in self._fallback_idx:
-            fallback_total = fallback_total + layer_times[position]
+        total = _sum_rows(layer_times)
+        fallback_total = _sum_rows(layer_times[self._fallback_idx])
         shares = np.where(total == 0, 0.0,
                           fallback_total / np.where(total == 0, 1.0, total))
-        return ([float(t) for t in total], [float(s) for s in shares])
+        return total.tolist(), shares.tolist()
 
     def coverage(self, gpu: Optional[GPUSpec] = None
                  ) -> Optional[CoverageReport]:

@@ -134,7 +134,7 @@ class LayerBodyPool:
     def __init__(self) -> None:
         self._bodies: List[Dict] = []
         self._index: Dict[str, int] = {}
-        self._revived: Dict[Tuple[str, int], Tuple] = {}
+        self._revived: Dict[int, Tuple] = {}
         self.references = 0
 
     def intern(self, body: Dict) -> int:
@@ -148,13 +148,12 @@ class LayerBodyPool:
             self._index[key] = found
         return found
 
-    def revive(self, plan_type: str, index: int, build) -> Tuple:
+    def revive(self, index: int, build) -> Tuple:
         """The built form of one body, constructed at most once."""
-        key = (plan_type, index)
-        built = self._revived.get(key)
+        built = self._revived.get(index)
         if built is None:
             built = build(self._bodies[index])
-            self._revived[key] = built
+            self._revived[index] = built
         return built
 
     def __len__(self) -> int:
@@ -264,7 +263,7 @@ def plan_from_dict(data: Dict, pool: LinePool, bodies: LayerBodyPool,
                                  else (body["fallback"][0],
                                        pool.fit_at(body["fallback"][1])))}
         layers = [_revive_layer(layer_name,
-                                bodies.revive("kernel", index, kernel_body))
+                                bodies.revive(index, kernel_body))
                   for layer_name, index in data["layers"]]
         return KernelPlan(name, network, batch_size, layers,
                           lw_model=getattr(model, "lw_fallback", None))

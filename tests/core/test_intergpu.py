@@ -1,6 +1,5 @@
 """Tests for the Inter-GPU Kernel-Wise model."""
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -94,9 +93,11 @@ class TestDegenerateBandwidths:
 
     The scalar path divided to ``ZeroDivisionError`` (or not, depending
     on which synthesis branch the rate fit selected) while the vectorised
-    path silently produced ``inf`` columns. Both must now raise the same
-    ``ValueError`` up front — and a degenerate point in a vector must
-    never contaminate the healthy columns.
+    path silently produced ``inf`` columns. Both must now raise a
+    ``ValueError`` up front: the scalar line for its bandwidth, a plan's
+    one synthesis pass (``kernel_lines``) for the target's driver
+    metric, before any cell is priced. A degenerate point must never
+    contaminate the healthy columns.
     """
 
     @pytest.fixture()
@@ -109,26 +110,39 @@ class TestDegenerateBandwidths:
         with pytest.raises(ValueError, match="must be positive"):
             transfer.line_for_bandwidth(bandwidth)
 
-    @pytest.mark.parametrize("bandwidth", [0.0, -1.0])
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, float("nan"),
+                                           float("inf")])
     def test_vector_raises_the_same_error_as_scalar(self, transfer,
-                                                    bandwidth):
-        # one degenerate point among healthy ones: no silent inf column
-        with pytest.raises(ValueError, match="must be positive"):
-            transfer.lines_for_bandwidths(
-                np.array([800.0, bandwidth, 1200.0]))
+                                                    lines_plan, bandwidth):
+        # one degenerate metric among healthy ones: no silent inf column
+        # (GPUSpec rejects a non-positive bandwidth, so a metric table
+        # stands in for the driver metric)
+        metric = {"V100": 800.0, "A100": bandwidth, "TITAN RTX": 1200.0}
+        plan = lines_plan({transfer.kernel_name: transfer},
+                          metric=lambda spec: metric[spec.name])
+        with pytest.raises(ValueError,
+                           match="'A100': driver metric must be positive"):
+            plan.kernel_lines([gpu("V100"), gpu("A100"), gpu("TITAN RTX")])
 
-    def test_vector_matches_scalar_on_healthy_points(self, transfer):
-        bandwidths = np.array([10.0, 400.0, 800.0, 1555.0])
-        slopes, intercepts = transfer.lines_for_bandwidths(bandwidths)
+    def test_vector_matches_scalar_on_healthy_points(self, transfer,
+                                                     lines_plan):
+        bandwidths = [10.0, 400.0, 800.0, 1555.0]
+        slopes, intercepts = lines_plan(
+            {transfer.kernel_name: transfer}).kernel_lines(
+                [gpu("TITAN RTX").with_bandwidth(b) for b in bandwidths])
         for i, bandwidth in enumerate(bandwidths):
-            line = transfer.line_for_bandwidth(float(bandwidth))
-            assert slopes[i] == line.slope, bandwidth
-            assert intercepts[i] == line.intercept, bandwidth
+            line = transfer.line_for_bandwidth(bandwidth)
+            assert slopes[0, i] == line.slope, bandwidth
+            assert intercepts[0, i] == line.intercept, bandwidth
 
-    def test_healthy_columns_are_position_independent(self, transfer):
+    def test_healthy_columns_are_position_independent(self, transfer,
+                                                      lines_plan):
         # a point's synthesised line must not depend on its neighbours
-        # in the vector (10 GB/s forces the ratio-scaling branch)
-        alone = transfer.lines_for_bandwidths(np.array([800.0]))
-        mixed = transfer.lines_for_bandwidths(np.array([10.0, 800.0]))
-        assert mixed[0][1] == alone[0][0]
-        assert mixed[1][1] == alone[1][0]
+        # in the grid (10 GB/s forces the ratio-scaling branch)
+        plan = lines_plan({transfer.kernel_name: transfer})
+        base = gpu("TITAN RTX")
+        alone = plan.kernel_lines([base.with_bandwidth(800.0)])
+        mixed = plan.kernel_lines([base.with_bandwidth(10.0),
+                                   base.with_bandwidth(800.0)])
+        assert mixed[0][0, 1] == alone[0][0, 0]
+        assert mixed[1][0, 1] == alone[1][0, 0]

@@ -115,6 +115,23 @@ class TestEvaluateGrid:
         for target, share in zip(targets, shares):
             assert share == plan.bind(target).fallback_time_share(), name
 
+    def test_targets_with_different_nearest_lw(self, igkw_model):
+        # one grid over targets whose nearest training GPUs differ
+        # reads each LW model's cached fallback-layer times
+        plan = igkw_model.compile(zoo.build("bert_small"), PARITY_BS)
+        assert plan._fallback_idx.size and plan.arrays.mapped_idx.size
+        targets = [gpu("V100"), gpu("A100"),
+                   gpu("TITAN RTX").with_bandwidth(300.0),
+                   gpu("A100").with_bandwidth(2000.0)]
+        assert len({id(plan._nearest_lw(t)) for t in targets}) == 2
+        times, shares = plan.evaluate_grid(targets)
+        assert list(zip(times, shares)) == [plan.price(t) for t in targets]
+        for target, time_us, share in zip(targets, times, shares):
+            bound = plan.bind(target)
+            assert time_us == bound.evaluate(), target.name
+            assert share == bound.fallback_time_share(), target.name
+            assert 0.0 < share < 1.0
+
     def test_shares_zero_when_fully_mapped(self, igkw_model):
         plan = igkw_model.compile(zoo.build("resnet50"), PARITY_BS)
         _, shares = plan.evaluate_grid([gpu("V100")])
@@ -194,18 +211,30 @@ class TestDriverMetricParity:
 
 
 class TestKernelTransferVectorised:
-    def test_matches_scalar_lines(self, igkw_model):
-        bandwidths = np.asarray([200.0, 700.0, 1555.0, 2039.0])
-        for transfer in igkw_model.transfers.values():
-            slopes, intercepts = transfer.lines_for_bandwidths(bandwidths)
-            for i, bandwidth in enumerate(bandwidths):
-                line = transfer.line_for_bandwidth(float(bandwidth))
-                assert slopes[i] == line.slope
-                assert intercepts[i] == line.intercept
+    """The plan's one synthesis pass equals the scalar line per cell."""
 
-    def test_ratio_scaling_branch(self):
+    def test_matches_scalar_lines(self, igkw_model, lines_plan):
+        bandwidths = [200.0, 700.0, 1555.0, 2039.0]
+        plan = lines_plan(igkw_model.transfers)
+        slopes, intercepts = plan.kernel_lines(
+            [gpu("TITAN RTX").with_bandwidth(b) for b in bandwidths])
+        assert slopes.shape == (len(igkw_model.transfers) + 1,
+                                len(bandwidths))
+        for i, name in enumerate(plan.arrays.used_kernels):
+            transfer = igkw_model.transfers[name]
+            for point, bandwidth in enumerate(bandwidths):
+                line = transfer.line_for_bandwidth(bandwidth)
+                assert slopes[i, point] == line.slope, (name, bandwidth)
+                assert intercepts[i, point] == line.intercept, (name,
+                                                                bandwidth)
+        # the padding row synthesises the all-zero line
+        assert slopes[-1].tolist() == [0.0] * len(bandwidths)
+        assert intercepts[-1].tolist() == [0.0] * len(bandwidths)
+
+    def test_ratio_scaling_branch(self, lines_plan):
         # a rate fit that goes non-positive at low bandwidth exercises
-        # the nearest-observed ratio-scaling fallback per point
+        # the nearest-observed ratio-scaling fallback per cell, beside
+        # a healthy kernel and healthy points in the same call
         transfer = KernelTransfer(
             "k", "flops",
             rate_fit=LinearFit(0.01, -5.0, 0.0, 2),
@@ -213,11 +242,17 @@ class TestKernelTransferVectorised:
             per_gpu={"A": LinearFit(2.0, 3.0, 0.0, 4),
                      "B": LinearFit(1.0, 1.0, 0.0, 4)},
             gpu_bandwidths={"A": 600.0, "B": 1500.0})
-        bandwidths = np.asarray([100.0, 400.0, 900.0, 2000.0])
+        healthy = dataclasses.replace(transfer, kernel_name="h",
+                                      rate_fit=LinearFit(0.01, 1.0, 0.0, 2))
+        bandwidths = [100.0, 400.0, 500.0, 900.0, 2000.0]
         assert (transfer.rate_fit.predict(100.0) <= 0.0
+                and transfer.rate_fit.predict(500.0) == 0.0
                 and transfer.rate_fit.predict(2000.0) > 0.0)
-        slopes, intercepts = transfer.lines_for_bandwidths(bandwidths)
-        for i, bandwidth in enumerate(bandwidths):
-            line = transfer.line_for_bandwidth(float(bandwidth))
-            assert slopes[i] == line.slope, bandwidth
-            assert intercepts[i] == line.intercept, bandwidth
+        plan = lines_plan({"k": transfer, "h": healthy})
+        slopes, intercepts = plan.kernel_lines(
+            [gpu("TITAN RTX").with_bandwidth(b) for b in bandwidths])
+        for i, kernel in enumerate((healthy, transfer)):
+            for point, bandwidth in enumerate(bandwidths):
+                line = kernel.line_for_bandwidth(bandwidth)
+                assert slopes[i, point] == line.slope, bandwidth
+                assert intercepts[i, point] == line.intercept, bandwidth

@@ -118,10 +118,8 @@ class TestLayerBodyPool:
     def test_revive_builds_each_body_once(self):
         bodies = LayerBodyPool.from_list([{"value": 7}])
         built = []
-        first = bodies.revive("kernel", 0,
-                              lambda body: built.append(body) or ("x",))
-        second = bodies.revive("kernel", 0,
-                               lambda body: built.append(body) or ("y",))
+        first = bodies.revive(0, lambda body: built.append(body) or ("x",))
+        second = bodies.revive(0, lambda body: built.append(body) or ("y",))
         assert first is second      # shared, not rebuilt
         assert built == [{"value": 7}]
 
