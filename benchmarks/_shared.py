@@ -41,3 +41,18 @@ def best_of(fn, rounds=5):
         value = fn()
         best = min(best, time.perf_counter() - start)
     return best, value
+
+
+def best_of_interleaved(fns, rounds=5):
+    """Best-of-N wall time for each of ``fns``, one call of each per
+    round, so a slow spell of the host lands on every side rather than
+    on one: a list of (seconds, return value of the fastest call)."""
+    best = [(float("inf"), None)] * len(fns)
+    for _ in range(rounds):
+        for i, fn in enumerate(fns):
+            start = time.perf_counter()
+            value = fn()
+            elapsed = time.perf_counter() - start
+            if elapsed < best[i][0]:
+                best[i] = (elapsed, value)
+    return best

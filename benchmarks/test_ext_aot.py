@@ -13,9 +13,7 @@ has answered its first request.
 
 from __future__ import annotations
 
-import time
-
-from _shared import emit, once
+from _shared import best_of_interleaved, emit, once
 
 from repro import core
 from repro.core.planopt import compile_store
@@ -55,20 +53,11 @@ def test_warm_store_speeds_up_cold_start(benchmark, tmp_path_factory):
                                  "batch_size": BATCH_SIZE})
                 for name in ROSTER]
 
-    def interleaved(rounds=5):
-        # one cold and one warm start per round, best of each: a slow
-        # spell of the host then lands on both sides, not on one
-        best = {}
-        for _ in range(rounds):
-            for directory in (bare_dir, aot_dir):
-                start = time.perf_counter()
-                responses = first_predictions(directory)
-                elapsed = time.perf_counter() - start
-                if elapsed < best.get(directory, (float("inf"),))[0]:
-                    best[directory] = (elapsed, responses)
-        return best[bare_dir], best[aot_dir]
-
-    (cold_s, cold), (warm_s, warm) = once(benchmark, interleaved)
+    # one cold and one warm start per round, best of each
+    (cold_s, cold), (warm_s, warm) = once(
+        benchmark, lambda: best_of_interleaved(
+            [lambda: first_predictions(bare_dir),
+             lambda: first_predictions(aot_dir)]))
     speedup = cold_s / warm_s
 
     text = (f"cold start to first /predict on {len(ROSTER)} deep "

@@ -51,12 +51,13 @@ cross-checks:
 - CT011  the plan optimizer and the AOT compile store
          (:mod:`repro.core.planopt`) never change a number: a plan
          round-tripped through a persisted bundle — line pool interning,
-         layer-body revival, a retargetable plan's columns and term
-         matrices — evaluates bit-exactly equal to the freshly compiled
-         plan (a kernel plan's ``lw_plan()`` included; a retargetable
-         plan's grid, ``price`` and bound per-layer coverage records
-         per target), and a bundle whose model file changed underneath
-         is refused outright.
+         a kernel-level plan's columns and term matrices — agrees
+         bit-exactly with the freshly compiled plan under
+         :func:`~repro.core.planopt.plan_mismatch` (a kernel plan's
+         total, share, per-layer coverage records and ``lw_plan()``; a
+         retargetable plan's grid, ``price`` and bound plans per
+         target), and a bundle whose model file changed underneath is
+         refused outright.
          (Shares CT007's trained campaign, so it runs only on the full
          sweep.)
 
@@ -69,7 +70,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import zip_longest
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis_checks.findings import Finding, Severity
@@ -390,13 +390,11 @@ def _check_aot_parity(models: Dict[str, object],
 
     Persists CT007's trained models, AOT-compiles a bundle per model
     over the same zoo networks, reloads the bundles, and compares every
-    loaded plan's evaluation against the freshly compiled plan with
-    exact float equality — for a kernel plan, its ``lw_plan()`` too;
-    for a retargetable plan, per grid target, its ``price`` and the
-    bound plan's per-layer coverage records (name, kind, signature,
-    stage, predicted time), which read every persisted column back.
-    Also checks that a bundle whose model bytes changed underneath is
-    refused.
+    loaded plan against the freshly compiled plan with exact float
+    equality through :func:`~repro.core.planopt.plan_mismatch`, the
+    check ``repro compile --verify`` runs, which reads every persisted
+    column back. Also checks that a bundle whose model bytes changed
+    underneath is refused.
     """
     import json as json_mod
     import tempfile
@@ -421,26 +419,9 @@ def _check_aot_parity(models: Dict[str, object],
                         sink.record("CT011", f"{name}/{kind}",
                                     "bundle does not cover the network")
                         continue
-                    if kind == "igkw":
-                        mismatch = _retargetable_mismatch(plan, fresh, grid)
-                        if mismatch is not None:
-                            sink.record("CT011", f"{name}/{kind}", mismatch)
-                        continue
-                    if kind == "kw":
-                        # the LW plan prices degraded answers
-                        revived = (plan.evaluate(),
-                                   plan.lw_plan().evaluate())
-                        expected = (fresh.evaluate(),
-                                    fresh.lw_plan().evaluate())
-                    else:
-                        revived = plan.evaluate()
-                        expected = fresh.evaluate()
-                    # the contract IS exact equality: the AOT plan must
-                    # replay the fresh arithmetic, not approximate it
-                    if revived != expected:  # repro: noqa[FP001]
-                        sink.record(
-                            "CT011", f"{name}/{kind}",
-                            f"AOT plan {revived!r} != fresh {expected!r}")
+                    mismatch = planopt.plan_mismatch(plan, fresh, grid)
+                    if mismatch is not None:
+                        sink.record("CT011", f"{name}/{kind}", mismatch)
             # provenance: flip one byte of a model file and the bundle
             # must be refused, not served
             path = Path(scratch) / "e2e.json"
@@ -457,31 +438,6 @@ def _check_aot_parity(models: Dict[str, object],
                             "instead of being refused")
     except Exception as exc:  # repro: noqa[EX001] reported as finding
         sink.record("CT011", "aot-store", f"AOT round-trip raised {exc!r}")
-
-
-def _retargetable_mismatch(loaded, fresh, grid) -> Optional[str]:
-    """The first difference between an AOT-loaded retargetable plan and
-    the freshly compiled one, or None when they agree exactly.
-
-    Compares the grid, then per target ``price`` and the bound plan's
-    per-layer coverage records, so every persisted column (name, kind,
-    signature, stage, FLOPs, kernel terms) is read back.
-    """
-    # the contract IS exact equality: the AOT plan must replay the fresh
-    # arithmetic, not approximate it
-    got, want = loaded.evaluate_grid(grid), fresh.evaluate_grid(grid)
-    if got != want:  # repro: noqa[FP001]
-        return f"AOT grid {got!r} != fresh {want!r}"
-    for point in grid:
-        got, want = loaded.price(point), fresh.price(point)
-        if got != want:  # repro: noqa[FP001]
-            return f"{point.name}: AOT price {got!r} != fresh {want!r}"
-        records = zip_longest(loaded.bind(point).coverage().layers,
-                              fresh.bind(point).coverage().layers)
-        for got, want in records:
-            if got != want:  # repro: noqa[FP001]
-                return f"{point.name}: AOT layer {got!r} != fresh {want!r}"
-    return None
 
 
 def _check_versioned_store(sink: _Recorder) -> None:

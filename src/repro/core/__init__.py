@@ -45,12 +45,11 @@ from repro.core.online import (
 from repro.core.overhead import OverheadAwareModel
 from repro.core.plan import (
     FlopsPlan,
+    KernelArrays,
     KernelPlan,
     LayerSumPlan,
     OverheadPlan,
-    PlanLayer,
     PredictionPlan,
-    RetargetableArrays,
     RetargetablePlan,
 )
 from repro.core.persistence import (
@@ -84,6 +83,7 @@ __all__ = [
     "FEATURE_LABELS",
     "FlopsPlan",
     "InterGPUKernelWiseModel",
+    "KernelArrays",
     "KernelCluster",
     "KernelMappingTable",
     "KernelPlan",
@@ -99,9 +99,7 @@ __all__ = [
     "OverheadAwareModel",
     "OverheadPlan",
     "PerformanceModel",
-    "PlanLayer",
     "PredictionPlan",
-    "RetargetableArrays",
     "RetargetablePlan",
     "SCurve",
     "classification_report",

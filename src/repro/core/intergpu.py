@@ -19,18 +19,16 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.classification import FEATURES, classify_kernels
-from repro.core.coverage import EXACT, FALLBACK, NEAR
 from repro.core.kernelwise import (
     KernelLine,
     KernelMappingTable,
     KernelTablePredictor,
     _dataset_mode,
-    feature_value,
+    lower_kernels,
 )
 from repro.core.layerwise import LayerWiseModel
 from repro.core.linreg import LinearFit, fit_line
-from repro.core.plan import RetargetableArrays, RetargetablePlan
-from repro.core.signature import layer_signature
+from repro.core.plan import RetargetablePlan
 from repro.dataset.builder import PerformanceDataset
 from repro.gpu.specs import GPUSpec
 
@@ -224,27 +222,11 @@ class InterGPUKernelWiseModel:
         """
         if self.table is None:
             raise RuntimeError("InterGPUKernelWiseModel is not trained")
-        training = self.mode == "training"
-        infos = network.layer_infos(batch_size)
-        signatures = [layer_signature(info, training=training)
-                      for info in infos]
-        stages = []
-        mapped_terms: Dict[int, Tuple[Tuple[str, float], ...]] = {}
-        for position, (info, signature) in enumerate(zip(infos, signatures)):
-            kernels = self.table.lookup(signature)
-            if kernels is None or any(name not in self.transfers
-                                      for name in kernels):
-                stages.append(FALLBACK)
-                continue
-            stages.append(EXACT if self.table.exact_sequence(signature)
-                          == kernels else NEAR)
-            mapped_terms[position] = tuple(
-                (name, feature_value(info, self.transfers[name].feature))
-                for name in kernels)
-        arrays = RetargetableArrays.lower(
-            [info.name for info in infos], [info.kind for info in infos],
-            signatures, stages, [float(info.flops) for info in infos],
-            mapped_terms)
+        arrays = lower_kernels(
+            self.table, self.mode,
+            {name: transfer.feature
+             for name, transfer in self.transfers.items()},
+            network, batch_size)
         return RetargetablePlan(self.name, network.name, batch_size, arrays,
                                 self.transfers, self._metric,
                                 self._lw_by_gpu, self.train_gpus)

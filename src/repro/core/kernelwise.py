@@ -28,7 +28,7 @@ from repro.core.clustering import cluster_index, cluster_kernels
 from repro.core.coverage import EXACT, FALLBACK, NEAR
 from repro.core.layerwise import LayerWiseModel
 from repro.core.linreg import LinearFit
-from repro.core.plan import KernelPlan, PlanLayer
+from repro.core.plan import KernelArrays, KernelPlan
 from repro.core.signature import layer_signature, signature_kind
 from repro.dataset.builder import PerformanceDataset
 from repro.nn.graph import LayerInfo, Network
@@ -202,6 +202,41 @@ class KernelMappingTable:
         return sorted(self._table)
 
 
+def lower_kernels(table: KernelMappingTable, mode: str,
+                  features: Mapping[str, str], network: Network,
+                  batch_size: int) -> KernelArrays:
+    """The one kernel-level lowering, shared by KW and IGKW.
+
+    Walks the network once: each layer's dispatch signature, its
+    ``table.lookup`` kernel sequence, its coverage stage and, for a
+    mapped layer, each kernel's feature value. ``features`` maps every
+    kernel that has a line to its feature column; a layer whose
+    sequence is unknown or names a kernel outside ``features`` is on
+    the layer-wise fallback. The lines that price the terms are not
+    resolved here.
+    """
+    training = mode == "training"
+    infos = network.layer_infos(batch_size)
+    signatures = [layer_signature(info, training=training)
+                  for info in infos]
+    stages = []
+    mapped_terms: Dict[int, Tuple[Tuple[str, float], ...]] = {}
+    for position, (info, signature) in enumerate(zip(infos, signatures)):
+        kernels = table.lookup(signature)
+        if kernels is None or any(name not in features
+                                  for name in kernels):
+            stages.append(FALLBACK)
+            continue
+        stages.append(EXACT if table.exact_sequence(signature) == kernels
+                      else NEAR)
+        mapped_terms[position] = tuple(
+            (name, feature_value(info, features[name])) for name in kernels)
+    return KernelArrays.from_columns(
+        [info.name for info in infos], [info.kind for info in infos],
+        signatures, stages, [float(info.flops) for info in infos],
+        mapped_terms)
+
+
 class KernelTablePredictor(PerformanceModel):
     """Shared prediction engine for KW and IGKW models.
 
@@ -223,9 +258,6 @@ class KernelTablePredictor(PerformanceModel):
         self.name = name
         self.mode = mode
 
-    def _feature_value(self, info: LayerInfo, feature: str) -> float:
-        return feature_value(info, feature)
-
     def predict_layer(self, info: LayerInfo) -> float:
         """Predicted time of one layer: sum over its mapped kernels."""
         signature = layer_signature(info,
@@ -244,46 +276,25 @@ class KernelTablePredictor(PerformanceModel):
             # clamp: extrapolating an affine fit far below its training
             # range can dip negative; a kernel never takes negative time
             total += max(0.0,
-                         fit.predict(self._feature_value(info, feature)))
+                         fit.predict(feature_value(info, feature)))
         return total
 
     def compile(self, network: Network, batch_size: int) -> KernelPlan:
-        """Lower the network: one resolved :class:`PlanLayer` per layer.
+        """Lower the network through :func:`lower_kernels` and attach
+        each used kernel's fitted line.
 
-        Each layer's kernel sequence and regression lines are resolved
-        here, once, together with its coverage stage; evaluating the
-        plan reproduces ``predict_network`` bit-exactly.
+        Evaluating the plan reproduces ``predict_network`` bit-exactly.
+        A layer with no kernel mapping and no trained layer-wise
+        fallback raises here, at compile time.
         """
-        training = self.mode == "training"
-        layers = []
-        for info in network.layer_infos(batch_size):
-            signature = layer_signature(info, training=training)
-            kernels = self.table.lookup(signature)
-            if kernels is None or any(name not in self.lines
-                                      for name in kernels):
-                lw = self.lw_fallback
-                if lw is None:
-                    raise KeyError(
-                        f"no kernel mapping for layer {info.name!r} "
-                        f"({info.kind}) and no layer-wise fallback "
-                        "configured")
-                if lw.fallback is None:
-                    raise RuntimeError("LayerWiseModel is not trained")
-                fit = lw.fits.get(info.kind, lw.fallback)
-                layers.append(PlanLayer(
-                    info.name, info.kind, signature, FALLBACK, (),
-                    (float(info.flops), fit)))
-                continue
-            stage = (EXACT if self.table.exact_sequence(signature) == kernels
-                     else NEAR)
-            terms = tuple(
-                (self._feature_value(info, self.lines[name][0]),
-                 self.lines[name][1])
-                for name in kernels)
-            layers.append(PlanLayer(info.name, info.kind, signature,
-                                    stage, terms))
-        return KernelPlan(self.name, network.name, batch_size,
-                          tuple(layers), lw_model=self.lw_fallback)
+        arrays = lower_kernels(
+            self.table, self.mode,
+            {name: line[0] for name, line in self.lines.items()},
+            network, batch_size)
+        return KernelPlan(self.name, network.name, batch_size, arrays,
+                          [self.lines[name][1]
+                           for name in arrays.used_kernels],
+                          lw_model=self.lw_fallback)
 
     def count_kernels(self, network: Network, batch_size: int) -> int:
         """How many kernel launches the mapping table predicts.

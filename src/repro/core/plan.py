@@ -33,11 +33,12 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.coverage import FALLBACK, CoverageReport, LayerCoverage
+from repro.core.coverage import CoverageReport, LayerCoverage
 from repro.core.linreg import LinearFit
 from repro.gpu.specs import GPUSpec
 
@@ -129,130 +130,15 @@ def layer_sum_plan(lw, network_name: str, batch_size: int,
                               for flops, kind in layers))
 
 
-@dataclass(frozen=True)
-class PlanLayer:
-    """One layer of a fully-resolved kernel-level plan.
-
-    Either ``terms`` prices the layer's mapped kernels, or ``fallback``
-    holds the (FLOPs, layer-wise fit) pair of the degradation path.
-    """
-
-    layer_name: str
-    kind: str
-    signature: str
-    stage: str               # coverage stage: EXACT / NEAR / FALLBACK
-    terms: Tuple[Tuple[float, LinearFit], ...]
-    fallback: Optional[Tuple[float, LinearFit]] = None
-
-    def evaluate(self) -> float:
-        if self.fallback is not None:
-            flops, fit = self.fallback
-            return fit.predict(flops)
-        total = 0.0
-        for value, fit in self.terms:
-            # same clamp as the direct path: a kernel never takes
-            # negative time, however far the fit extrapolates
-            total += max(0.0, fit.predict(value))
-        return total
-
-
-class KernelPlan(PredictionPlan):
-    """Fully-resolved kernel-level plan (KW, or IGKW bound to one GPU).
-
-    ``lw_model`` is the layer-wise fallback that was attached at compile
-    time; :meth:`lw_plan` is its plan of the same network, which serving
-    tiers degrade to.
-    """
-
-    def __init__(self, model_name: str, network_name: str, batch_size: int,
-                 layers: Sequence[PlanLayer], lw_model=None,
-                 lw_plan: Optional[LayerSumPlan] = None) -> None:
-        super().__init__(model_name, network_name, batch_size)
-        self.layers = tuple(layers)
-        self.lw_model = lw_model
-        self._lw_plan = lw_plan
-        self._coverage: Optional[CoverageReport] = None
-        self._stage_sums: Optional[Tuple[float, float]] = None
-
-    def lw_plan(self) -> Optional[LayerSumPlan]:
-        """``lw_model``'s plan of this network; None without one.
-
-        Lowered on first use and cached, so a plan that degrades builds
-        its network once, not once per answer. A plan bound from a
-        :class:`RetargetablePlan` arrives with that plan's cached one;
-        any other is lowered from the zoo network of its name.
-        """
-        if self._lw_plan is None and self.lw_model is not None:
-            from repro import zoo
-            self._lw_plan = self.lw_model.compile(
-                zoo.build(self.network_name), self.batch_size)
-        return self._lw_plan
-
-    def evaluate(self, gpu: Optional[GPUSpec] = None) -> float:
-        return self._sums()[0]
-
-    def _sums(self) -> Tuple[float, float]:
-        """Cached (total, fallback-stage total), one pass in layer order.
-
-        Accumulates the exact float sequences that ``coverage()``'s
-        ``total_us`` and fallback ``time_share`` numerator would sum, so
-        the serving tier reads totals off this cache instead of building
-        a :class:`CoverageReport` of per-layer records per first request.
-        """
-        if self._stage_sums is None:
-            total = 0.0
-            fallback = 0.0
-            for layer in self.layers:
-                time_us = layer.evaluate()
-                total += time_us
-                if layer.stage == FALLBACK:
-                    fallback += time_us
-            self._stage_sums = (total, fallback)
-        return self._stage_sums
-
-    def coverage(self) -> CoverageReport:
-        if self._coverage is None:
-            self._coverage = CoverageReport(
-                self.network_name, self.batch_size,
-                tuple(LayerCoverage(layer.layer_name, layer.kind,
-                                    layer.signature, layer.stage,
-                                    layer.evaluate())
-                      for layer in self.layers))
-        return self._coverage
-
-    def fallback_time_share(self) -> float:
-        """Fraction of the predicted time on the layer-wise fallback."""
-        total, fallback = self._sums()
-        if total == 0:
-            return 0.0
-        return fallback / total
-
-
-class OverheadPlan(PredictionPlan):
-    """Kernel plan plus the learned launch-overhead correction."""
-
-    def __init__(self, model_name: str, network_name: str, batch_size: int,
-                 base_plan: KernelPlan, launches: int,
-                 overhead_fit: LinearFit) -> None:
-        super().__init__(model_name, network_name, batch_size)
-        self.base_plan = base_plan
-        self.launches = launches
-        self.overhead_fit = overhead_fit
-
-    def evaluate(self, gpu: Optional[GPUSpec] = None) -> float:
-        kernel_sum = self.base_plan.evaluate()
-        hidden = max(0.0, self.overhead_fit.predict(self.launches))
-        # same sanity floor as the direct path: the GPU-busy time is at
-        # least the work content, the dominant share of the sum
-        return max(0.25 * kernel_sum, kernel_sum - hidden)
-
-    def coverage(self) -> CoverageReport:
-        return self.base_plan.coverage()
-
-
 @dataclass(frozen=True, eq=False)
-class RetargetableArrays:
-    """The one form of a retargetable plan: layer columns, term matrices.
+class KernelArrays:
+    """The one lowered form of a kernel-level plan: layer columns, term
+    matrices.
+
+    ``kernelwise.lower_kernels`` builds it for KW and IGKW alike; only
+    the lines that price the terms differ. A :class:`KernelPlan` holds
+    one fitted line per used kernel, and a :class:`RetargetablePlan`
+    synthesises them per target GPU.
 
     Layer ``p`` is ``names[p]``, ``kinds[p]``, ``signatures[p]``,
     ``stages[p]`` and ``flops[p]``. Row ``r`` of the term matrices holds
@@ -293,11 +179,11 @@ class RetargetableArrays:
             raise ValueError("kernel indices exceed the plan's kernel set")
 
     @classmethod
-    def lower(cls, names: Sequence[str], kinds: Sequence[str],
-              signatures: Sequence[str], stages: Sequence[str],
-              flops: Sequence[float],
-              mapped_terms: Mapping[int, Sequence[Tuple[str, float]]]
-              ) -> "RetargetableArrays":
+    def from_columns(cls, names: Sequence[str], kinds: Sequence[str],
+                     signatures: Sequence[str], stages: Sequence[str],
+                     flops: Sequence[float],
+                     mapped_terms: Mapping[int, Sequence[Tuple[str, float]]]
+                     ) -> "KernelArrays":
         """Columns plus ``{position: ((kernel, value), ...)}`` for the
         mapped layers, in ascending position order."""
         used = tuple(sorted({name for terms in mapped_terms.values()
@@ -315,6 +201,189 @@ class RetargetableArrays:
                    np.asarray(list(mapped_terms), dtype=np.intp), values,
                    kidx)
 
+    @cached_property
+    def fallback_idx(self) -> np.ndarray:
+        """Positions of the layers on the layer-wise fallback, ascending."""
+        mapped = np.zeros(len(self.names), dtype=bool)
+        mapped[self.mapped_idx] = True
+        return np.flatnonzero(~mapped)
+
+    @cached_property
+    def layer_terms(self) -> Tuple[Optional[Tuple[Tuple[int, float], ...]],
+                                   ...]:
+        """Per layer, its ``(kernel index, value)`` terms, padding
+        dropped; None for a layer on the layer-wise fallback. Taken from
+        the matrices once: the scalar walk of :func:`_price_layers`."""
+        real = self.term_kidx != len(self.used_kernels)
+        pairs = list(zip(self.term_kidx[real].tolist(),
+                         self.term_values[real].tolist()))
+        terms: List[Optional[Tuple[Tuple[int, float], ...]]] = (
+            [None] * len(self.names))
+        start = 0
+        # terms are left-aligned, so each row's real slots are its first
+        for position, end in zip(self.mapped_idx.tolist(),
+                                 np.cumsum(real.sum(axis=1)).tolist()):
+            terms[position] = tuple(pairs[start:end])
+            start = end
+        return tuple(terms)
+
+
+def require_fallback(arrays: KernelArrays, lw) -> None:
+    """Raise unless ``lw`` can price the arrays' fallback layers.
+
+    A plan with an unmapped layer cannot be priced without a trained
+    layer-wise model. KW's compile, ``RetargetablePlan.bind``, ``price``
+    and the grid path all raise the same error from here, naming the
+    first unmapped layer.
+    """
+    if not arrays.fallback_idx.size:
+        return
+    first = int(arrays.fallback_idx[0])
+    if lw is None:
+        raise KeyError(
+            f"no kernel mapping for layer {arrays.names[first]!r} "
+            f"({arrays.kinds[first]}) and no layer-wise fallback "
+            "configured")
+    if lw.fallback is None:
+        raise RuntimeError("LayerWiseModel is not trained")
+
+
+def _fallback_times(arrays: KernelArrays, lw) -> List[float]:
+    """The fallback layers' times under ``lw``, in layer order, each
+    ``lw.predict_layer`` at the layer's kind and FLOPs: the fit that
+    prices that layer in ``lw``'s own plan of the network."""
+    flops = arrays.flops.tolist()
+    return [lw.predict_layer(arrays.kinds[position], flops[position])
+            for position in arrays.fallback_idx.tolist()]
+
+
+def _price_layers(layer_terms, slopes: Sequence[float],
+                  intercepts: Sequence[float],
+                  fallback_times: Sequence[float]
+                  ) -> Tuple[float, float, List[float]]:
+    """``(total, fallback total, per-layer times)`` for one set of lines.
+
+    The one scalar walk of a kernel-level plan. A mapped layer's time
+    is its kernel terms ``slopes[k] * value + intercepts[k]``, each
+    clamped at ``0.0`` (a kernel never takes negative time, however far
+    its line extrapolates), added left to right; a fallback layer's time
+    is the next of ``fallback_times``. The totals add the layer times in
+    graph order. :class:`KernelPlan` walks its fitted lines here and
+    ``RetargetablePlan.price`` one target's synthesised lines, so both
+    accumulate the same float sequence.
+    """
+    fallback_iter = iter(fallback_times)
+    times = []
+    total = 0.0
+    fallback = 0.0
+    for terms in layer_terms:
+        if terms is None:
+            time_us = next(fallback_iter)
+            fallback += time_us
+        else:
+            time_us = 0.0
+            for k, value in terms:
+                # max(0.0, t) exactly, NaN and -0.0 included
+                t = slopes[k] * value + intercepts[k]
+                time_us += t if t > 0.0 else 0.0
+        total += time_us
+        times.append(time_us)
+    return total, fallback, times
+
+
+class KernelPlan(PredictionPlan):
+    """Fully-resolved kernel-level plan (KW, or IGKW bound to one GPU).
+
+    The plan is its :class:`KernelArrays` plus ``lines``, one fitted
+    line per used kernel in ``arrays.used_kernels`` order. ``lw_model``
+    is the layer-wise fallback that was attached at compile time: it
+    prices the fallback layers, and :meth:`lw_plan` is its plan of the
+    same network, which serving tiers degrade to. A plan with a
+    fallback layer and no trained ``lw_model`` is refused here, with
+    :func:`require_fallback`'s error.
+    """
+
+    def __init__(self, model_name: str, network_name: str, batch_size: int,
+                 arrays: KernelArrays, lines: Sequence[LinearFit],
+                 lw_model=None,
+                 lw_plan: Optional[LayerSumPlan] = None) -> None:
+        super().__init__(model_name, network_name, batch_size)
+        require_fallback(arrays, lw_model)
+        self.arrays = arrays
+        self.lines = tuple(lines)
+        self.lw_model = lw_model
+        self._lw_plan = lw_plan
+        self._priced: Optional[Tuple[float, float, List[float]]] = None
+        self._coverage: Optional[CoverageReport] = None
+
+    def lw_plan(self) -> Optional[LayerSumPlan]:
+        """``lw_model``'s plan of this network; None without one.
+
+        Lowered by :func:`layer_sum_plan` from the plan's own kinds and
+        FLOPs on first use and cached, so no network is built. A plan
+        bound from a :class:`RetargetablePlan` arrives with that plan's
+        cached one.
+        """
+        if self._lw_plan is None and self.lw_model is not None:
+            if self.lw_model.fallback is None:
+                raise RuntimeError("LayerWiseModel is not trained")
+            self._lw_plan = layer_sum_plan(
+                self.lw_model, self.network_name, self.batch_size,
+                zip(self.arrays.flops.tolist(), self.arrays.kinds))
+        return self._lw_plan
+
+    def _priced_layers(self) -> Tuple[float, float, List[float]]:
+        """Cached :func:`_price_layers` over this plan's lines, which
+        ``evaluate``, ``fallback_time_share`` and ``coverage`` read."""
+        if self._priced is None:
+            arrays = self.arrays
+            self._priced = _price_layers(
+                arrays.layer_terms, [fit.slope for fit in self.lines],
+                [fit.intercept for fit in self.lines],
+                _fallback_times(arrays, self.lw_model)
+                if arrays.fallback_idx.size else ())
+        return self._priced
+
+    def evaluate(self, gpu: Optional[GPUSpec] = None) -> float:
+        return self._priced_layers()[0]
+
+    def coverage(self) -> CoverageReport:
+        if self._coverage is None:
+            arrays = self.arrays
+            self._coverage = CoverageReport(
+                self.network_name, self.batch_size,
+                tuple(LayerCoverage(*record) for record in zip(
+                    arrays.names, arrays.kinds, arrays.signatures,
+                    arrays.stages, self._priced_layers()[2])))
+        return self._coverage
+
+    def fallback_time_share(self) -> float:
+        """Fraction of the predicted time on the layer-wise fallback."""
+        total, fallback, _ = self._priced_layers()
+        return 0.0 if total == 0 else fallback / total
+
+
+class OverheadPlan(PredictionPlan):
+    """Kernel plan plus the learned launch-overhead correction."""
+
+    def __init__(self, model_name: str, network_name: str, batch_size: int,
+                 base_plan: KernelPlan, launches: int,
+                 overhead_fit: LinearFit) -> None:
+        super().__init__(model_name, network_name, batch_size)
+        self.base_plan = base_plan
+        self.launches = launches
+        self.overhead_fit = overhead_fit
+
+    def evaluate(self, gpu: Optional[GPUSpec] = None) -> float:
+        kernel_sum = self.base_plan.evaluate()
+        hidden = max(0.0, self.overhead_fit.predict(self.launches))
+        # same sanity floor as the direct path: the GPU-busy time is at
+        # least the work content, the dominant share of the sum
+        return max(0.25 * kernel_sum, kernel_sum - hidden)
+
+    def coverage(self) -> CoverageReport:
+        return self.base_plan.coverage()
+
 
 def _sum_rows(rows: np.ndarray) -> np.ndarray:
     """Column sums of ``rows``, added row by row from ``0.0``.
@@ -331,23 +400,23 @@ def _sum_rows(rows: np.ndarray) -> np.ndarray:
 class RetargetablePlan(PredictionPlan):
     """IGKW lowering: structure resolved once, lines synthesised per GPU.
 
-    The plan is its :class:`RetargetableArrays`. Everything that does
-    not depend on the target is taken once per plan: the scalar walk,
-    the four second-level coefficient columns of the used kernels, and,
-    per layer-wise model, the fallback layers' times.
-    :meth:`kernel_lines` then synthesises every used kernel's line for
-    every target in one array pass, which ``price(target)`` (one target,
-    walked in plain floats) and ``evaluate_grid`` (many targets, over
-    the term matrices) both read. ``bind(target)`` returns a
-    fully-resolved :class:`KernelPlan` built through the scalar
-    ``KernelTransfer.line_for_bandwidth``, the independent reference the
-    other paths are checked against; ``lw_plan(target)`` is the
-    target's layer-wise fallback plan for degraded answers.
+    The plan is its :class:`KernelArrays`. Everything that does not
+    depend on the target is taken once per plan: the four second-level
+    coefficient columns of the used kernels and, per layer-wise model,
+    the fallback layers' times. :meth:`kernel_lines` then synthesises
+    every used kernel's line for every target in one array pass, which
+    ``price(target)`` (one target, walked in plain floats) and
+    ``evaluate_grid`` (many targets, over the term matrices) both read.
+    ``bind(target)`` returns a :class:`KernelPlan` over the same arrays
+    with lines from the scalar ``KernelTransfer.line_for_bandwidth``,
+    the independent reference the other paths are checked against;
+    ``lw_plan(target)`` is the target's layer-wise fallback plan for
+    degraded answers.
     ``evaluate`` and ``coverage`` require a target GPU.
     """
 
     def __init__(self, model_name: str, network_name: str, batch_size: int,
-                 arrays: RetargetableArrays,
+                 arrays: KernelArrays,
                  transfers: Mapping[str, "KernelTransfer"],  # noqa: F821
                  metric, lw_by_gpu: Mapping[str, "LayerWiseModel"],  # noqa: F821
                  train_gpus: Sequence[GPUSpec]) -> None:
@@ -357,36 +426,11 @@ class RetargetablePlan(PredictionPlan):
         self._metric = metric
         self._lw_by_gpu = lw_by_gpu
         self._train_gpus = tuple(train_gpus)
-        mapped = np.zeros(len(arrays.names), dtype=bool)
-        mapped[arrays.mapped_idx] = True
-        self._fallback_idx = np.flatnonzero(~mapped)
-        self._walk_lists: Optional[List] = None
         self._coefficient_columns: Optional[Tuple[np.ndarray, ...]] = None
         # id(lw) -> that LayerWiseModel's plan of this network
         self._lw_plans: Dict[int, LayerSumPlan] = {}
         # id(lw) -> the fallback layers' times under it, in layer order
         self._fallback_times: Dict[int, List[float]] = {}
-
-    def _walk(self) -> List[Optional[Tuple[Tuple[int, float], ...]]]:
-        """Per layer, its ``(kernel index, value)`` terms.
-
-        Padding slots are dropped; a layer on the layer-wise fallback
-        has None. Taken from the arrays once per plan: the scalar walk
-        of ``price`` and ``bind``.
-        """
-        if self._walk_lists is None:
-            arrays = self.arrays
-            dummy = len(arrays.used_kernels)
-            terms: List[Optional[Tuple[Tuple[int, float], ...]]] = (
-                [None] * len(arrays.names))
-            for position, kidx, values in zip(arrays.mapped_idx.tolist(),
-                                              arrays.term_kidx.tolist(),
-                                              arrays.term_values.tolist()):
-                terms[position] = tuple((k, value)
-                                        for k, value in zip(kidx, values)
-                                        if k != dummy)
-            self._walk_lists = terms
-        return self._walk_lists
 
     def _coefficients(self) -> Tuple[np.ndarray, ...]:
         """``(rate slope, rate intercept, intercept slope, intercept
@@ -456,21 +500,9 @@ class RetargetablePlan(PredictionPlan):
         lw = self._target_lw(target)
         lines = [self._transfers[name].line_for_bandwidth(metric_value)
                  for name in self.arrays.used_kernels]
-        lw_plan = self._lw_plan_of(lw)
-        arrays = self.arrays
-        layers = []
-        for position, terms in enumerate(self._walk()):
-            header = (arrays.names[position], arrays.kinds[position],
-                      arrays.signatures[position], arrays.stages[position])
-            if terms is None:
-                layers.append(PlanLayer(*header, (),
-                                        lw_plan.terms[position]))
-            else:
-                layers.append(PlanLayer(*header, tuple(
-                    (value, lines[k]) for k, value in terms)))
         return KernelPlan(f"{self.model_name}->{target.name}",
-                          self.network_name, self.batch_size,
-                          tuple(layers), lw, lw_plan)
+                          self.network_name, self.batch_size, self.arrays,
+                          lines, lw, self._lw_plan_of(lw))
 
     def lw_plan(self, target: GPUSpec) -> Optional[LayerSumPlan]:
         """The layer-wise plan of the target's nearest LW model.
@@ -497,50 +529,31 @@ class RetargetablePlan(PredictionPlan):
     def _fallback_times_of(self, lw) -> List[float]:
         """The fallback layers' times under ``lw``, in layer order.
 
-        Each is its term of the cached LW plan priced as
-        ``LayerSumPlan.evaluate`` prices it; they depend on nothing but
-        the LW model, so they are computed once per LW model.
+        They depend on nothing but the LW model, so they are computed
+        once per LW model.
         """
-        if not self._fallback_idx.size:
+        if not self.arrays.fallback_idx.size:
             return []
         times = self._fallback_times.get(id(lw))
         if times is None:
-            terms = self._lw_plan_of(lw).terms
-            times = [terms[position][1].predict(terms[position][0])
-                     for position in self._fallback_idx.tolist()]
+            times = _fallback_times(self.arrays, lw)
             self._fallback_times[id(lw)] = times
         return times
 
     def price(self, target: GPUSpec) -> Tuple[float, float]:
         """(predicted us, fallback time share) for one target, one pass.
 
-        No KernelPlan is materialised, yet the accumulation is
-        ``bind(target)``'s — per-layer clamped kernel sums, then an
-        outer sum over layers in graph order — so the pair is bit-exact
-        with ``bind(target).evaluate()`` and
+        No KernelPlan is materialised, yet the walk is
+        ``bind(target)``'s, :func:`_price_layers`, so the pair is
+        bit-exact with ``bind(target).evaluate()`` and
         ``bind(target).fallback_time_share()``. The lines are column 0
         of :meth:`kernel_lines`, walked as plain floats.
         """
         slopes, intercepts = self.kernel_lines([target])
-        s = slopes[:, 0].tolist()
-        c = intercepts[:, 0].tolist()
-        fallback_times = iter(self._fallback_times_of(
-            self._target_lw(target)))
-        total = 0.0
-        fallback = 0.0
-        for terms in self._walk():
-            if terms is None:
-                time_us = next(fallback_times)
-                fallback += time_us
-            else:
-                time_us = 0.0
-                for k, value in terms:
-                    # the PlanLayer clamp, max(0.0, t) exactly (NaN and
-                    # -0.0 included): a kernel never takes negative
-                    # time, however far the synthesised line extrapolates
-                    t = s[k] * value + c[k]
-                    time_us += t if t > 0.0 else 0.0
-            total += time_us
+        total, fallback, _ = _price_layers(
+            self.arrays.layer_terms, slopes[:, 0].tolist(),
+            intercepts[:, 0].tolist(),
+            self._fallback_times_of(self._target_lw(target)))
         return total, (0.0 if total == 0 else fallback / total)
 
     def _metric_value(self, target: GPUSpec) -> float:
@@ -569,23 +582,10 @@ class RetargetablePlan(PredictionPlan):
         return self._lw_by_gpu[nearest.name]
 
     def _target_lw(self, target: GPUSpec):
-        """The target's layer-wise fallback, checked before any pricing.
-
-        A plan with an unmapped layer cannot be priced without a trained
-        fallback, so ``bind``, ``price`` and the grid path all raise the
-        same error from here.
-        """
+        """The target's layer-wise fallback, checked by
+        :func:`require_fallback` before any pricing."""
         lw = self._nearest_lw(target)
-        if self._fallback_idx.size:
-            first = int(self._fallback_idx[0])
-            if lw is None:
-                raise KeyError(
-                    f"no kernel mapping for layer "
-                    f"{self.arrays.names[first]!r} "
-                    f"({self.arrays.kinds[first]}) and no layer-wise "
-                    "fallback configured")
-            if lw.fallback is None:
-                raise RuntimeError("LayerWiseModel is not trained")
+        require_fallback(self.arrays, lw)
         return lw
 
     def evaluate(self, gpu: Optional[GPUSpec] = None) -> float:
@@ -613,7 +613,7 @@ class RetargetablePlan(PredictionPlan):
         acc = np.zeros((arrays.mapped_idx.size, n_points))
         for col in range(terms.shape[1]):
             acc += terms[:, col]
-        if not self._fallback_idx.size:
+        if not arrays.fallback_idx.size:
             return acc          # every layer is mapped, in layer order
 
         layer_times = np.zeros((len(arrays.names), n_points))
@@ -623,7 +623,7 @@ class RetargetablePlan(PredictionPlan):
             lw = self._target_lw(target)
             by_lw.setdefault(id(lw), (lw, []))[1].append(point)
         for lw, points in by_lw.values():
-            layer_times[self._fallback_idx[:, None], points] = np.array(
+            layer_times[arrays.fallback_idx[:, None], points] = np.array(
                 self._fallback_times_of(lw))[:, None]
         return layer_times
 
@@ -649,7 +649,7 @@ class RetargetablePlan(PredictionPlan):
             raise TypeError(_NEEDS_TARGET)
         layer_times = self._layer_times(targets)
         total = _sum_rows(layer_times)
-        fallback_total = _sum_rows(layer_times[self._fallback_idx])
+        fallback_total = _sum_rows(layer_times[self.arrays.fallback_idx])
         shares = np.where(total == 0, 0.0,
                           fallback_total / np.where(total == 0, 1.0, total))
         return total.tolist(), shares.tolist()

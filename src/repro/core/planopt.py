@@ -6,16 +6,15 @@ once per process. This module moves that cost out of the process
 entirely:
 
 - **Interning** across compiled plans: identical regression lines
-  referenced by different layers and different networks are stored once
-  in a :class:`LinePool` (the zoo's networks share most of their
-  kernels, so the pool is far smaller than the sum of term references),
-  and repeated kernel-plan layer bodies once in a :class:`LayerBodyPool`.
+  referenced by different plans are stored once in a :class:`LinePool`
+  (the zoo's networks share most of their kernels, so the pool is far
+  smaller than the sum of line references).
 - **An AOT compile store**: :func:`compile_store` lowers every
   (model, network, batch) combination once and persists the plans —
-  a retargetable plan as its layer columns and term matrices — next to
-  the model files, in a ``plans/`` section the serving
-  registry's top-level glob never sees. A cold service, the calibration
-  promote path, and the fleet's
+  a kernel-level plan as its :class:`~repro.core.plan.KernelArrays`,
+  layer columns and term matrices — next to the model files, in a
+  ``plans/`` section the serving registry's top-level glob never sees.
+  A cold service, the calibration promote path, and the fleet's
   :meth:`~repro.fleet.exec_table.ExecTable.from_model` then *load*
   plans instead of re-lowering.
 
@@ -34,8 +33,8 @@ promoted underneath it) and is refused at load time.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -54,17 +53,16 @@ from repro.core.persistence import (
 )
 from repro.core.plan import (
     FlopsPlan,
+    KernelArrays,
     KernelPlan,
     LayerSumPlan,
-    PlanLayer,
     PredictionPlan,
-    RetargetableArrays,
     RetargetablePlan,
 )
 
 #: Schema version of the plan-bundle payload (independent of the model
 #: document's ``format_version``, which bundles also carry).
-PLAN_FORMAT_VERSION = 2
+PLAN_FORMAT_VERSION = 3
 
 #: Subdirectory of a model directory holding the AOT plan bundles. The
 #: serving registry globs ``*.json`` at the top level only, so bundles
@@ -120,67 +118,50 @@ class LinePool:
         return pool
 
 
-class LayerBodyPool:
-    """Interns layer *bodies* — everything about a plan layer except its
-    name. Deep networks repeat the same block shape dozens of times and
-    sibling networks (the densenet / resnet families) share shapes too,
-    so the bundle stores each distinct body once and every layer is just
-    ``[name, body_index]``. On revive, each body is rebuilt exactly once
-    and its (immutable) term tuples are shared by every referencing
-    layer — which is what makes loading a bundle much cheaper than
-    re-lowering.
-    """
-
-    def __init__(self) -> None:
-        self._bodies: List[Dict] = []
-        self._index: Dict[str, int] = {}
-        self._revived: Dict[int, Tuple] = {}
-        self.references = 0
-
-    def intern(self, body: Dict) -> int:
-        """The pool index of this body, adding it if new."""
-        self.references += 1
-        key = json.dumps(body, sort_keys=True)
-        found = self._index.get(key)
-        if found is None:
-            found = len(self._bodies)
-            self._bodies.append(body)
-            self._index[key] = found
-        return found
-
-    def revive(self, index: int, build) -> Tuple:
-        """The built form of one body, constructed at most once."""
-        built = self._revived.get(index)
-        if built is None:
-            built = build(self._bodies[index])
-            self._revived[index] = built
-        return built
-
-    def __len__(self) -> int:
-        return len(self._bodies)
-
-    def to_list(self) -> List[Dict]:
-        return list(self._bodies)
-
-    @classmethod
-    def from_list(cls, data: Sequence[Dict]) -> "LayerBodyPool":
-        pool = cls()
-        pool._bodies = list(data)
-        return pool
-
-
 # -- plan (de)serialisation ---------------------------------------------------
 
-def plan_to_dict(plan: PredictionPlan, pool: LinePool,
-                 bodies: LayerBodyPool) -> Dict:
+def _arrays_to_dict(arrays: KernelArrays) -> Dict:
+    """The arrays as JSON columns; the term matrices are stored without
+    their padding, as each mapped row's term count plus its terms."""
+    real = arrays.term_kidx != len(arrays.used_kernels)
+    return {"names": list(arrays.names), "kinds": list(arrays.kinds),
+            "signatures": list(arrays.signatures),
+            "stages": list(arrays.stages),
+            "flops": arrays.flops.tolist(),
+            "used_kernels": list(arrays.used_kernels),
+            "mapped_idx": arrays.mapped_idx.tolist(),
+            "term_counts": real.sum(axis=1).tolist(),
+            "term_values": arrays.term_values[real].tolist(),
+            "term_kidx": arrays.term_kidx[real].tolist()}
+
+
+def _arrays_from_dict(data: Dict) -> KernelArrays:
+    counts = np.asarray(data["term_counts"], dtype=np.intp)
+    # terms are left-aligned: a row's first ``count`` slots are real
+    real = np.arange(counts.max(initial=0)) < counts[:, None]
+    term_values = np.zeros(real.shape)
+    term_values[real] = data["term_values"]
+    term_kidx = np.full(real.shape, len(data["used_kernels"]),
+                        dtype=np.intp)
+    term_kidx[real] = data["term_kidx"]
+    return KernelArrays(
+        tuple(data["names"]), tuple(data["kinds"]),
+        tuple(data["signatures"]), tuple(data["stages"]),
+        np.asarray(data["flops"], dtype=np.float64),
+        tuple(data["used_kernels"]),
+        np.asarray(data["mapped_idx"], dtype=np.intp),
+        term_values, term_kidx)
+
+
+def plan_to_dict(plan: PredictionPlan, pool: LinePool) -> Dict:
     """Lower one compiled plan to a JSON-compatible document.
 
-    Every regression line is stored as an index into ``pool`` and every
-    kernel-plan layer body (kind, signature, stage, terms — everything
-    but the unique layer name) as an index into ``bodies``. A
-    retargetable plan is stored as its :class:`RetargetableArrays`:
-    each layer's name, kind, signature, stage and FLOPs once, and the
-    kernel terms once, in the term matrices.
+    Every regression line is stored as an index into ``pool``. A
+    kernel-level plan is stored as its :class:`KernelArrays`: each
+    layer's name, kind, signature, stage and FLOPs once, and the kernel
+    terms once, in the term matrices. A KW plan adds ``lines``, one
+    pool index per used kernel; a retargetable plan's lines are
+    synthesised from its model on load.
     """
     base = {"network": plan.network_name, "batch_size": plan.batch_size,
             "model_name": plan.model_name}
@@ -192,56 +173,24 @@ def plan_to_dict(plan: PredictionPlan, pool: LinePool,
                     terms=[[flops, pool.intern(fit)]
                            for flops, fit in plan.terms])
     if isinstance(plan, RetargetablePlan):
-        arrays = plan.arrays
         return dict(base, type="retargetable",
-                    names=list(arrays.names), kinds=list(arrays.kinds),
-                    signatures=list(arrays.signatures),
-                    stages=list(arrays.stages),
-                    flops=arrays.flops.tolist(),
-                    used_kernels=list(arrays.used_kernels),
-                    mapped_idx=arrays.mapped_idx.tolist(),
-                    term_values=arrays.term_values.tolist(),
-                    term_kidx=arrays.term_kidx.tolist())
+                    **_arrays_to_dict(plan.arrays))
     if isinstance(plan, KernelPlan):
-        return dict(base, type="kernel", layers=[
-            [layer.layer_name, bodies.intern(
-                {"kind": layer.kind, "signature": layer.signature,
-                 "stage": layer.stage,
-                 "terms": [[value, pool.intern(fit)]
-                           for value, fit in layer.terms],
-                 "fallback": (None if layer.fallback is None
-                              else [layer.fallback[0],
-                                    pool.intern(layer.fallback[1])])})]
-            for layer in plan.layers])
+        return dict(base, type="kernel", **_arrays_to_dict(plan.arrays),
+                    lines=[pool.intern(fit) for fit in plan.lines])
     raise TypeError(
         f"cannot serialise a {type(plan).__name__}; supported plan "
         "types: flops, layersum, kernel, retargetable")
 
 
-def _revive_layer(layer_name: str, body: Dict) -> PlanLayer:
-    """Build one kernel-plan layer from its shared body prototype.
-
-    Same construction pickle uses for frozen dataclasses without slots
-    (``object.__new__`` plus a ``__dict__`` fill): a plan's layers are
-    the bulk of a bundle load, and skipping the frozen ``__init__`` —
-    one guarded ``object.__setattr__`` per field — makes revival ~3x
-    faster. PlanLayer has no ``__post_init__`` to skip.
-    """
-    layer = object.__new__(PlanLayer)
-    layer.__dict__.update(body, layer_name=layer_name)
-    return layer
-
-
-def plan_from_dict(data: Dict, pool: LinePool, bodies: LayerBodyPool,
-                   model) -> PredictionPlan:
+def plan_from_dict(data: Dict, pool: LinePool, model) -> PredictionPlan:
     """Revive one :func:`plan_to_dict` document against its live model.
 
-    Single-GPU plans are rebuilt purely from the document and the pools
-    (JSON floats round-trip exactly, so evaluation is bit-exact); the
-    retargetable plan reattaches its persisted arrays to ``model``'s
-    transfer tables and layer-wise fallbacks. Repeated kernel-plan layer
-    bodies are built once and shared, which is most of the loading
-    speedup over re-lowering.
+    Flops, layer-sum and KW plans take their lines from the pool (JSON
+    floats round-trip exactly, so evaluation is bit-exact), and a KW
+    plan reattaches ``model``'s layer-wise fallback; the retargetable
+    plan reattaches its arrays to ``model``'s transfer tables and
+    layer-wise fallbacks.
     """
     plan_type = data["type"]
     name = data["model_name"]
@@ -254,18 +203,16 @@ def plan_from_dict(data: Dict, pool: LinePool, bodies: LayerBodyPool,
                             tuple((flops, pool.fit_at(index))
                                   for flops, index in data["terms"]))
     if plan_type == "kernel":
-        def kernel_body(body: Dict) -> Dict:
-            return {"kind": body["kind"], "signature": body["signature"],
-                    "stage": body["stage"],
-                    "terms": tuple((value, pool.fit_at(index))
-                                   for value, index in body["terms"]),
-                    "fallback": (None if body["fallback"] is None
-                                 else (body["fallback"][0],
-                                       pool.fit_at(body["fallback"][1])))}
-        layers = [_revive_layer(layer_name,
-                                bodies.revive(index, kernel_body))
-                  for layer_name, index in data["layers"]]
-        return KernelPlan(name, network, batch_size, layers,
+        arrays = _arrays_from_dict(data)
+        lines = data["lines"]
+        if len(lines) != len(arrays.used_kernels) or not all(
+                0 <= index < len(pool) for index in lines):
+            raise BundleMismatch(
+                f"bundle plan for {network!r} needs one line-pool index "
+                f"per used kernel ({len(arrays.used_kernels)}), got "
+                f"{lines!r}")
+        return KernelPlan(name, network, batch_size, arrays,
+                          [pool.fit_at(index) for index in lines],
                           lw_model=getattr(model, "lw_fallback", None))
     if plan_type == "retargetable":
         if not isinstance(model, InterGPUKernelWiseModel):
@@ -277,24 +224,10 @@ def plan_from_dict(data: Dict, pool: LinePool, bodies: LayerBodyPool,
             raise BundleMismatch(
                 f"bundle plan for {network!r} references kernels the "
                 f"model does not map: {sorted(unknown)}")
-        n_mapped = len(data["mapped_idx"])
-        term_values = np.asarray(data["term_values"], dtype=np.float64)
-        term_kidx = np.asarray(data["term_kidx"], dtype=np.intp)
-        if term_values.ndim != 2:
-            # JSON can't tell (0, k) and (n, 0) matrices from flat [];
-            # a plan with no mapped layers has no term columns either
-            term_values = term_values.reshape(n_mapped, 0)
-            term_kidx = term_kidx.reshape(n_mapped, 0)
-        arrays = RetargetableArrays(
-            tuple(data["names"]), tuple(data["kinds"]),
-            tuple(data["signatures"]), tuple(data["stages"]),
-            np.asarray(data["flops"], dtype=np.float64),
-            tuple(data["used_kernels"]),
-            np.asarray(data["mapped_idx"], dtype=np.intp),
-            term_values, term_kidx)
-        return RetargetablePlan(name, network, batch_size, arrays,
-                                model.transfers, model._metric,
-                                model._lw_by_gpu, model.train_gpus)
+        return RetargetablePlan(name, network, batch_size,
+                                _arrays_from_dict(data), model.transfers,
+                                model._metric, model._lw_by_gpu,
+                                model.train_gpus)
     raise BundleMismatch(f"unknown plan type {plan_type!r}")
 
 
@@ -336,9 +269,7 @@ def build_bundle(model, model_path, networks: Sequence,
     model_path = Path(model_path)
     digest, stamp = _model_digest(model_path)
     pool = LinePool()
-    bodies = LayerBodyPool()
-    plans = [plan_to_dict(model.compile(network, int(batch_size)), pool,
-                          bodies)
+    plans = [plan_to_dict(model.compile(network, int(batch_size)), pool)
              for network in networks for batch_size in batch_sizes]
     return {
         "format_version": FORMAT_VERSION,
@@ -349,7 +280,6 @@ def build_bundle(model, model_path, networks: Sequence,
                        "source": model_path.name},
         "line_pool": pool.to_list(),
         "line_references": pool.references,
-        "layer_bodies": bodies.to_list(),
         "plans": plans,
     }
 
@@ -388,10 +318,9 @@ def load_bundle(model_path, model) -> Dict[Tuple[str, int], PredictionPlan]:
             f"bundle is stale: model digest {digest[:12]}... does not "
             f"match recorded {str(recorded)[:12]}...")
     pool = LinePool.from_list(document["line_pool"])
-    bodies = LayerBodyPool.from_list(document.get("layer_bodies", []))
     plans: Dict[Tuple[str, int], PredictionPlan] = {}
     for entry in document["plans"]:
-        plan = plan_from_dict(entry, pool, bodies, model)
+        plan = plan_from_dict(entry, pool, model)
         plans[(plan.network_name, plan.batch_size)] = plan
     return plans
 
@@ -475,35 +404,73 @@ class CompileReport:
         return "\n".join(lines + [f"  -> {status}"])
 
 
+def plan_mismatch(loaded: PredictionPlan, fresh: PredictionPlan,
+                  targets: Sequence) -> Optional[str]:
+    """The first difference between an AOT-loaded plan and the freshly
+    compiled one, or None when they agree exactly.
+
+    A kernel plan compares its total, fallback share, per-layer
+    coverage records (name, kind, signature, stage, predicted time) and
+    ``lw_plan()`` total, so every persisted column is read back. A
+    retargetable plan compares its grid over ``targets``, then per
+    target its ``price`` (against the fresh plan's, and the grid's
+    column) and its bound plans as kernel plans. Other plans compare
+    ``evaluate()``; they ignore ``targets``.
+    """
+    # the contract IS exact equality: the AOT plan must replay the fresh
+    # arithmetic, not approximate it
+    if isinstance(fresh, RetargetablePlan):
+        got, want = loaded.evaluate_grid(targets), fresh.evaluate_grid(targets)
+        if got != want:  # repro: noqa[FP001]
+            return f"AOT grid {got!r} != fresh {want!r}"
+        for point, time_us, share in zip(targets, *got):
+            priced, want = loaded.price(point), fresh.price(point)
+            grid_point = (time_us, share)
+            if priced != want or grid_point != want:  # repro: noqa[FP001]
+                return (f"{point.name}: AOT price {priced!r} (grid "
+                        f"{grid_point!r}) != fresh {want!r}")
+            mismatch = plan_mismatch(loaded.bind(point), fresh.bind(point),
+                                     ())
+            if mismatch is not None:
+                return f"{point.name}: {mismatch}"
+        return None
+    if isinstance(fresh, KernelPlan):
+        got = (loaded.evaluate(), loaded.fallback_time_share())
+        want = (fresh.evaluate(), fresh.fallback_time_share())
+        if got != want:  # repro: noqa[FP001]
+            return f"AOT (total, share) {got!r} != fresh {want!r}"
+        for got, want in zip_longest(loaded.coverage().layers,
+                                     fresh.coverage().layers):
+            if got != want:  # repro: noqa[FP001]
+                return f"AOT layer {got!r} != fresh {want!r}"
+        if fresh.lw_model is None:
+            return None
+        got, want = loaded.lw_plan().evaluate(), fresh.lw_plan().evaluate()
+        if got != want:  # repro: noqa[FP001]
+            return f"AOT lw_plan {got!r} != fresh {want!r}"
+        return None
+    got, want = loaded.evaluate(), fresh.evaluate()
+    if got != want:  # repro: noqa[FP001]
+        return f"AOT plan {got!r} != fresh {want!r}"
+    return None
+
+
 def _verify_bundle(model, model_path, networks,
                    batch_sizes: Sequence[int]) -> bool:
     """Reload the bundle and compare against fresh lowering, bit-exactly."""
     from repro.gpu.specs import gpu
 
     loaded = load_bundle(model_path, model)
+    targets = []
     if isinstance(model, InterGPUKernelWiseModel):
         targets = list(model.train_gpus)
         if all(spec.name != "V100" for spec in targets):
             targets.append(gpu("V100"))
-    else:
-        targets = []
-    for network in networks:
-        for batch_size in batch_sizes:
-            fresh = model.compile(network, int(batch_size))
-            plan = loaded[(network.name, int(batch_size))]
-            if targets:
-                grid, shares = plan.evaluate_grid(targets)
-                fresh_grid, fresh_shares = fresh.evaluate_grid(targets)
-                scalar = [fresh.evaluate(gpu=t) for t in targets]
-                # the contract IS exact equality: the AOT plan must
-                # replay the fresh plan's arithmetic, not approximate it
-                if grid != fresh_grid or grid != scalar \
-                        or shares != fresh_shares:  # repro: noqa[FP001]
-                    return False
-            else:
-                if plan.evaluate() != fresh.evaluate():  # repro: noqa[FP001]
-                    return False
-    return True
+    return all(
+        plan_mismatch(loaded[(network.name, int(batch_size))],
+                      model.compile(network, int(batch_size)),
+                      targets) is None
+        for network in networks for batch_size in batch_sizes)
 
 
 def compile_store(models_dir, network_names: Optional[Sequence[str]] = None,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.coverage import EXACT
-from repro.core.plan import RetargetableArrays, RetargetablePlan
+from repro.core.plan import KernelArrays, RetargetablePlan
 
 
 @pytest.fixture()
@@ -19,8 +19,8 @@ def lines_plan():
     """
     def build(transfers, metric=lambda spec: spec.bandwidth_gbs):
         terms = tuple((name, 1.0) for name in sorted(transfers))
-        arrays = RetargetableArrays.lower(["all"], ["conv"], ["sig"],
-                                          [EXACT], [1.0], {0: terms})
+        arrays = KernelArrays.from_columns(["all"], ["conv"], ["sig"],
+                                           [EXACT], [1.0], {0: terms})
         return RetargetablePlan("lines", "all", 1, arrays, transfers,
                                 metric, {}, ())
     return build

@@ -18,6 +18,7 @@ from repro.core import (
     FlopsPlan,
     InterGPUKernelWiseModel,
     KernelPlan,
+    KernelTablePredictor,
     KernelWiseModel,
     LayerSumPlan,
     LayerWiseModel,
@@ -108,7 +109,8 @@ class TestPlanShapes:
         network = zoo.build("resnet18")
         plan = single_gpu_models["kw"].compile(network, PARITY_BS)
         assert isinstance(plan, KernelPlan)
-        assert len(plan.layers) == len(network.layer_infos(PARITY_BS))
+        assert plan.arrays.names == tuple(
+            info.name for info in network.layer_infos(PARITY_BS))
         lw = single_gpu_models["kw"].lw_fallback
         assert plan.lw_model is lw
         lw_plan = plan.lw_plan()
@@ -118,6 +120,22 @@ class TestPlanShapes:
         assert all(fit is lw.fits.get(info.kind, lw.fallback)
                    for (_, fit), info in zip(lw_plan.terms, infos))
         assert lw_plan.evaluate() == lw.predict_network(network, PARITY_BS)
+
+    @pytest.mark.parametrize("lw, error", [(None, KeyError),
+                                           (LayerWiseModel(), RuntimeError)])
+    def test_kw_compile_refuses_an_unpriceable_fallback(
+            self, single_gpu_models, lw, error):
+        # bert_small has layers the CNN-trained table cannot map; with
+        # no trained layer-wise model, compile raises the direct path's
+        # error for the first of them
+        kw = single_gpu_models["kw"]
+        model = KernelTablePredictor(kw.table, kw.lines, lw, mode=kw.mode)
+        network = zoo.build("bert_small")
+        with pytest.raises(error) as direct:
+            model.predict_network(network, PARITY_BS)
+        with pytest.raises(error) as compiled:
+            model.compile(network, PARITY_BS)
+        assert compiled.value.args == direct.value.args
 
     def test_igkw_compiles_retargetable(self, igkw_model):
         plan = igkw_model.compile(zoo.build("resnet18"), PARITY_BS)

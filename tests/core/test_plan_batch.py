@@ -101,7 +101,7 @@ class TestGridSemantics:
         # the scalar walk's lists are taken from the arrays once per plan
         plan = igkw_model.compile(zoo.build("resnet18"), PARITY_BS)
         plan.price(gpu("V100"))
-        assert plan._walk() is plan._walk()
+        assert plan.arrays.layer_terms is plan.arrays.layer_terms
 
 
 class TestEvaluateGrid:
@@ -119,7 +119,7 @@ class TestEvaluateGrid:
         # one grid over targets whose nearest training GPUs differ
         # reads each LW model's cached fallback-layer times
         plan = igkw_model.compile(zoo.build("bert_small"), PARITY_BS)
-        assert plan._fallback_idx.size and plan.arrays.mapped_idx.size
+        assert plan.arrays.fallback_idx.size and plan.arrays.mapped_idx.size
         targets = [gpu("V100"), gpu("A100"),
                    gpu("TITAN RTX").with_bandwidth(300.0),
                    gpu("A100").with_bandwidth(2000.0)]

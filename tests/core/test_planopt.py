@@ -1,6 +1,6 @@
 """Plan optimizer + AOT compile store: every pass is bit-exact.
 
-The optimizer (line and layer-body interning) and the persisted
+The optimizer (line interning) and the persisted
 bundles exist purely to move work earlier; the suite's job is proving
 they never move a *number*. Exact float equality is the
 contract here, not a test smell: an AOT-loaded plan replays the fresh
@@ -14,11 +14,11 @@ import json
 import pytest
 
 from repro import zoo
+from repro.core.kernelwise import KernelTablePredictor
 from repro.core.linreg import LinearFit
 from repro.core.plan import RetargetablePlan
 from repro.core.planopt import (
     BundleMismatch,
-    LayerBodyPool,
     LinePool,
     build_bundle,
     bundle_coverage,
@@ -27,6 +27,7 @@ from repro.core.planopt import (
     load_bundle,
     load_plans,
     plan_from_dict,
+    plan_mismatch,
     plan_to_dict,
     save_bundle,
 )
@@ -97,31 +98,11 @@ class TestLinePool:
 
 
 def _round_trip(plan, model):
-    """Serialise through real JSON and revive with fresh pools."""
-    pool, bodies = LinePool(), LayerBodyPool()
-    payload = json.loads(json.dumps(plan_to_dict(plan, pool, bodies)))
-    revived_bodies = LayerBodyPool.from_list(
-        json.loads(json.dumps(bodies.to_list())))
-    return plan_from_dict(payload, pool, revived_bodies, model)
-
-
-class TestLayerBodyPool:
-    def test_repeated_blocks_intern_to_one_body(self, models):
-        plan = models["kw"].compile(zoo.build("densenet121"), PARITY_BS)
-        bodies = LayerBodyPool()
-        plan_to_dict(plan, LinePool(), bodies)
-        # a densenet repeats block shapes: fewer distinct bodies than
-        # layers (growth of concat widths keeps it from collapsing more)
-        assert bodies.references == len(plan.layers)
-        assert len(bodies) < len(plan.layers) * 0.6
-
-    def test_revive_builds_each_body_once(self):
-        bodies = LayerBodyPool.from_list([{"value": 7}])
-        built = []
-        first = bodies.revive(0, lambda body: built.append(body) or ("x",))
-        second = bodies.revive(0, lambda body: built.append(body) or ("y",))
-        assert first is second      # shared, not rebuilt
-        assert built == [{"value": 7}]
+    """Serialise through real JSON and revive with a fresh pool."""
+    pool = LinePool()
+    payload = json.loads(json.dumps(plan_to_dict(plan, pool)))
+    revived_pool = LinePool.from_list(json.loads(json.dumps(pool.to_list())))
+    return plan_from_dict(payload, revived_pool, model)
 
 
 class TestPlanDocumentRoundTrip:
@@ -134,6 +115,21 @@ class TestPlanDocumentRoundTrip:
         assert revived.network_name == "resnet18"
         assert revived.batch_size == PARITY_BS
 
+    def test_plan_without_mapped_layers_round_trips(self, models):
+        # no kernel has a line: every layer is on the fallback but those
+        # the table maps to no kernels at all, so the term matrices have
+        # no columns, which JSON alone cannot tell from no rows
+        kw = models["kw"]
+        model = KernelTablePredictor(kw.table, {}, kw.lw_fallback,
+                                     mode=kw.mode)
+        plan = model.compile(zoo.build("resnet18"), PARITY_BS)
+        assert plan.arrays.term_kidx.shape[1] == 0
+        revived = _round_trip(plan, model)
+        for name in ("term_kidx", "term_values", "mapped_idx"):
+            assert getattr(revived.arrays, name).shape == \
+                getattr(plan.arrays, name).shape
+        assert plan_mismatch(revived, plan, ()) is None
+
     def test_retargetable_round_trip_keeps_grid(self, models):
         model = models["igkw"]
         plan = model.compile(zoo.build("resnet18"), PARITY_BS)
@@ -145,10 +141,10 @@ class TestPlanDocumentRoundTrip:
 
     def test_retargetable_needs_igkw_model(self, models):
         plan = models["igkw"].compile(zoo.build("resnet18"), PARITY_BS)
-        pool, bodies = LinePool(), LayerBodyPool()
-        payload = plan_to_dict(plan, pool, bodies)
+        pool = LinePool()
+        payload = plan_to_dict(plan, pool)
         with pytest.raises(BundleMismatch, match="igkw"):
-            plan_from_dict(payload, pool, bodies, models["kw"])
+            plan_from_dict(payload, pool, models["kw"])
 
     def test_overhead_plans_are_rejected(self, models, small_split):
         from repro.core.overhead import OverheadAwareModel
@@ -157,7 +153,7 @@ class TestPlanDocumentRoundTrip:
             train.for_gpu("A100"))
         plan = wrapped.compile(zoo.build("resnet18"), PARITY_BS)
         with pytest.raises(TypeError, match="cannot serialise"):
-            plan_to_dict(plan, LinePool(), LayerBodyPool())
+            plan_to_dict(plan, LinePool())
 
 
 class TestBundleProvenance:
@@ -188,7 +184,7 @@ class TestBundleProvenance:
         with pytest.raises(BundleMismatch, match="compiled for"):
             load_bundle(path, models["lw"])
 
-    @pytest.mark.parametrize("plan_format", [1, 999])
+    @pytest.mark.parametrize("plan_format", [1, 2, 999])
     def test_foreign_plan_format_is_refused(self, models, tmp_path,
                                             plan_format):
         path = tmp_path / "e2e.json"
@@ -205,6 +201,26 @@ class TestBundleProvenance:
         # an older or newer bundle degrades to lazy compiles, never a
         # misread plan
         assert load_plans(path, models["e2e"]) == {}
+
+    @pytest.mark.parametrize("lines", ["short", "out_of_pool"])
+    def test_kernel_lines_must_index_the_pool(self, models, tmp_path,
+                                              lines):
+        path = tmp_path / "kw.json"
+        save_model(models["kw"], path)
+        save_bundle(build_bundle(models["kw"], path,
+                                 [zoo.build("resnet18")], [PARITY_BS]),
+                    path)
+        bundle_path = bundle_path_for(path)
+        document = json.loads(bundle_path.read_text())
+        entry = document["plans"][0]
+        if lines == "short":        # one index fewer than used kernels
+            entry["lines"] = entry["lines"][:-1]
+        else:                       # one past the end of the line pool
+            entry["lines"][0] = len(document["line_pool"])
+        bundle_path.write_text(json.dumps(document))
+        with pytest.raises(BundleMismatch, match="line-pool index"):
+            load_bundle(path, models["kw"])
+        assert load_plans(path, models["kw"]) == {}
 
     def test_load_plans_degrades_to_empty(self, models, tmp_path):
         path = tmp_path / "e2e.json"

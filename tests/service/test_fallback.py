@@ -1,9 +1,12 @@
 """Tests for the KW -> LW -> E2E fallback chain over compiled plans."""
 
+import shutil
+
 import pytest
 
 from repro import zoo
 from repro.core.plan import LayerSumPlan
+from repro.core.planopt import build_bundle, load_bundle, save_bundle
 from repro.service import (
     FallbackChain,
     PredictionError,
@@ -143,6 +146,26 @@ class TestKernelPlanLwPlan:
         assert plan.fallback_time_share() > 0.10      # a degraded network
         assert plan.lw_plan().evaluate() == \
             kw_model.lw_fallback.predict_network(network, batch_size)
+
+    def test_lw_plan_builds_no_network(self, kw_model, models_dir,
+                                       tmp_path, monkeypatch):
+        # the LW plan is lowered from the plan's own kinds and FLOPs, on
+        # a freshly compiled and on an AOT-loaded plan alike
+        network = zoo.build("bert_small")
+        path = tmp_path / "kw-a100.json"
+        shutil.copy(models_dir / "kw-a100.json", path)
+        save_bundle(build_bundle(kw_model, path, [network], [64]), path)
+        plans = {"fresh": kw_model.compile(network, 64),
+                 "aot": load_bundle(path, kw_model)[("bert_small", 64)]}
+        expected = kw_model.lw_fallback.predict_network(network, 64)
+        built = []
+        build = zoo.build
+        monkeypatch.setattr(
+            zoo, "build", lambda name: built.append(name) or build(name))
+        for origin, plan in plans.items():
+            assert plan.fallback_time_share() > 0.10, origin
+            assert plan.lw_plan().evaluate() == expected, origin
+        assert built == []
 
 
 class TestServiceChainByName:
