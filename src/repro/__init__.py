@@ -14,21 +14,12 @@ Typical use::
     model = core.train_model(train, "kw", gpu="A100")
     curve = core.evaluate_model(model, test, nets, gpu="A100")
     print(curve.render("KW model on A100"))
+
+Subpackages load on first access, so importing one part of the package
+does not import the others.
 """
 
-from repro import (
-    core,
-    dataset,
-    gpu,
-    nn,
-    profiler,
-    reporting,
-    scheduling,
-    service,
-    sim,
-    studies,
-    zoo,
-)
+import importlib
 
 __version__ = "1.0.0"
 
@@ -46,3 +37,15 @@ __all__ = [
     "zoo",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """Import a subpackage on first access (PEP 562).
+
+    ``import repro.service`` then loads the serving stack without the
+    studies, profiler and simulators it never uses; ``repro.zoo`` and
+    ``from repro import zoo`` still work as before.
+    """
+    if name in __all__:
+        return importlib.import_module(f"repro.{name}")
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")

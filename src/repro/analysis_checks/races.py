@@ -30,7 +30,7 @@ guarded state as well as writes:
    (``queue.Queue``, ``threading.Event``, ``collections.deque``, the
    service's ``MetricsRegistry``/``PredictionCache``). Such a field is
    a stable handle to an object that does its own locking — the
-   scale-out frontend's dispatch queues and gauge registries are read
+   scale-out frontend's in-flight FIFOs and gauge registries are read
    lock-free by design, and flagging them would train people to ignore
    the rule. Reassigning the field anywhere outside those constructors
    revokes the exemption.

@@ -143,8 +143,9 @@ def _add_serve(subparsers) -> None:
                         "a consistent-hash sharded pool behind "
                         "admission control")
     p.add_argument("--max-queue-depth", type=int, default=64,
-                   help="per-worker dispatch queue bound; requests "
-                        "past it are shed with HTTP 429 + Retry-After")
+                   help="per-worker bound on frames in flight; "
+                        "requests past it are shed with HTTP 429 + "
+                        "Retry-After")
     p.add_argument("--snapshot-interval", type=float, default=2.0,
                    help="seconds between worker registry-snapshot "
                         "freshness checks (scale-out only)")

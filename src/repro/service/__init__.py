@@ -21,10 +21,10 @@ same core: :class:`WorkerPool` forks N processes each running a
 :class:`PredictionService` over a read-only registry snapshot, a
 :class:`HashRing` routes (model, network) keys so per-shard caches stay
 hot, and :class:`ScaledService` fronts the pool with admission control
-(bounded dispatch queues, 429 + Retry-After load shedding), per-endpoint
-SLO tracking, and bucket-exact /metrics aggregation. ``--workers 1``
-bypasses the stack entirely and serves bit-identically to the
-single-process server.
+(bounded in-flight frames per worker, 429 + Retry-After load
+shedding), per-endpoint SLO tracking, and bucket-exact /metrics
+aggregation. ``--workers 1`` bypasses the stack entirely and serves
+bit-identically to the single-process server.
 
 With a :class:`~repro.calibration.Calibrator` attached (``repro serve
 --calibrate``), the server additionally accepts ``POST /feedback`` and

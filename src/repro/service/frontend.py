@@ -6,14 +6,17 @@ loop (:func:`repro.service.server.make_server` over a
 key through the pool's consistent-hash ring, and defends the workers
 with *front-door admission control*:
 
-- each worker has a bounded dispatch queue; once a queue reaches
-  ``max_queue_depth`` the :class:`AdmissionController` **sheds** the
-  request with ``429`` and a ``Retry-After`` estimated from the queue
-  drain time (``repro_shed_total`` counts them, per-endpoint
+- each worker accepts at most ``max_queue_depth`` frames in flight;
+  once a worker has that many unanswered, the
+  :class:`AdmissionController` **sheds** the request with ``429`` and a
+  ``Retry-After`` estimated from the queue drain time
+  (``repro_shed_total`` counts them, per-endpoint
   ``repro_shed_<endpoint>_total`` break them down) — a shed request
   never reaches a worker;
-- ``/predict_batch`` is split into per-shard sub-batches dispatched
-  concurrently; a saturated shard sheds only its own items (per-item
+- ``/predict_batch`` is split into per-shard sub-batches whose frames
+  are all written (in ascending slot order, which keeps the pipelined
+  channels deadlock-free) before the handler waits on any; a saturated
+  shard sheds only its own items (per-item
   ``429`` slots), preserving the "one bad item never fails the batch"
   contract;
 - per-endpoint latency SLOs are tracked (:class:`SLOTracker`) and
@@ -81,7 +84,7 @@ class ShedError(ServiceError):
 
 
 class AdmissionController:
-    """Front-door load shedding over the per-worker dispatch queues.
+    """Front-door load shedding over the per-worker in-flight bounds.
 
     Stateless about workers (the queues themselves are the signal); it
     owns only the shed accounting and a per-endpoint latency EWMA used
@@ -113,11 +116,12 @@ class AdmissionController:
 
     def submit(self, handle: WorkerHandle, endpoint: str, op: str,
                payload) -> PendingCall:
-        """Enqueue onto the worker or shed with :class:`ShedError`.
+        """Write the call's frame to the worker or shed with
+        :class:`ShedError`.
 
-        The depth check and the bounded ``put_nowait`` both shed: the
-        queue's own bound is the authority (no TOCTOU window admits past
-        it), the explicit check keeps the common case cheap.
+        The depth check and the channel's bounded ``submit_nowait`` both
+        shed: the channel's own bound is the authority (no TOCTOU window
+        admits past it), the explicit check keeps the common case cheap.
         """
         depth = handle.pending()
         if depth >= self.max_queue_depth:
@@ -247,7 +251,7 @@ class ScaledService:
             calibrator.metrics = self.metrics
         self.batch_cap = pool.options.batch_cap
         # generous slack over the worker-side socket timeout: the
-        # dispatcher answers 503/504 first, this is the backstop
+        # channel's reader answers 503 first, this is the backstop
         self.call_timeout_s = pool.options.call_timeout_s + 10.0
         self.started_at = time.time()          # provenance (wall clock)
         self._started_monotonic = time.monotonic()

@@ -1,12 +1,22 @@
 """Wire protocol between the frontend and pre-fork workers.
 
-Length-prefixed JSON frames over a stream socket (the pool uses
-``socket.socketpair()`` inherited across ``fork``): a 4-byte big-endian
-unsigned length followed by that many bytes of UTF-8 JSON. JSON keeps
-the worker boundary debuggable (``strace``/``tcpdump`` show the actual
-requests) and guarantees the frontend re-serialises responses
-byte-identically to the in-process server, because both ends speak the
-same documents the HTTP layer does.
+Length-prefixed :mod:`marshal` frames over a stream socket (the pool
+uses ``socket.socketpair()`` inherited across ``fork``): a 4-byte
+big-endian unsigned length followed by that many bytes of one
+``marshal`` document. Frames carry the same dict/list/str/number/None
+values the HTTP layer's JSON does, so the frontend re-serialises a
+relayed response byte-identically to the in-process server; marshal
+only encodes and decodes them several times faster than JSON.
+``marshal.loads`` builds values and runs no code, and the socketpair
+only ever joins forks of one program (one interpreter version, one
+marshal format). A body that does not decode to a dict is a
+:class:`ProtocolError`, like an over-limit length prefix.
+
+Values must be exact builtin types: marshal writes any other object
+with the buffer protocol (a numpy scalar, say) as raw ``bytes``, which
+the frontend cannot re-encode as JSON. Every document the service core
+returns must hold builtin values only; the in-process versus sharded
+parity tests compare the relayed bytes.
 
 Two frame shapes, shared by both directions:
 
@@ -20,7 +30,7 @@ the :data:`OP_*` constants below; anything else earns ``400``.
 
 from __future__ import annotations
 
-import json
+import marshal
 import struct
 from typing import Dict, Tuple
 
@@ -76,7 +86,7 @@ def response(request_id: int, status: int, body) -> Dict:
 
 def send_frame(sock, document) -> int:
     """Serialise and send one frame; returns the bytes written."""
-    body = json.dumps(document).encode()
+    body = marshal.dumps(document)
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(body)} bytes exceeds the "
@@ -107,10 +117,14 @@ def recv_frame(sock):
             f"{MAX_FRAME_BYTES}-byte limit (corrupt stream?)")
     body = _recv_exact(sock, length, clean_at_zero=False)
     try:
-        return json.loads(body)
-    except json.JSONDecodeError as exc:
-        raise ProtocolError(f"frame body is not valid JSON: {exc}") \
-            from None
+        document = marshal.loads(body)
+    except (ValueError, EOFError, TypeError) as exc:
+        raise ProtocolError(f"frame body is not a marshal document: "
+                            f"{exc}") from None
+    if type(document) is not dict:
+        raise ProtocolError(f"frame body is a {type(document).__name__}, "
+                            "not a document")
+    return document
 
 
 def parse_response(document) -> Tuple[int, object]:

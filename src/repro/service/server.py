@@ -36,11 +36,12 @@ declared) answers a typed 4xx and closes the connection.
 from __future__ import annotations
 
 import json
+import re
 import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.service.core import (          # noqa: F401 - compat re-exports
@@ -56,6 +57,42 @@ from repro.service.protocol import MAX_FRAME_BYTES
 #: or stalled inside one) before the server closes it and frees the
 #: handler thread.
 IDLE_TIMEOUT_S = 30.0
+
+#: http.client's limits: the longest header line and the most header
+#: fields one request may carry
+_MAX_HEADER_LINE = 65536
+_MAX_HEADERS = 100
+#: an RFC 9110 field name (a token)
+_FIELD_NAME = re.compile(rb"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
+
+
+class _Headers:
+    """One request's header fields: a small case-insensitive multi-map.
+
+    It answers what the handler asks, as :class:`email.message.Message`
+    would: ``get`` is the first value of a field, ``get_all`` every
+    value in arrival order (None when absent), and ``in`` tests for a
+    field.
+    """
+
+    __slots__ = ("_fields",)
+
+    def __init__(self) -> None:
+        self._fields: Dict[str, List[str]] = {}
+
+    def add(self, name: str, value: str) -> None:
+        self._fields.setdefault(name.lower(), []).append(value)
+
+    def get(self, name: str, default=None):
+        values = self._fields.get(name.lower())
+        return values[0] if values else default
+
+    def get_all(self, name: str, default=None):
+        values = self._fields.get(name.lower())
+        return list(values) if values else default
+
+    def __contains__(self, name: str) -> bool:
+        return name.lower() in self._fields
 
 
 class _ThreadedServer(ThreadingHTTPServer):
@@ -114,9 +151,121 @@ class _Handler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
     timeout = IDLE_TIMEOUT_S
 
+    #: (second, Date header) of the last reply: one format per second
+    _date = (0, "")
+
     def setup(self) -> None:
         super().setup()
         self.service.metrics.increment("connections_total")
+
+    def parse_request(self) -> bool:
+        """The stdlib request line, ``Connection`` and ``Expect``
+        handling, over a plain ``readline`` header read.
+
+        ``http.client.parse_headers`` runs each header block through
+        ``email.parser``, which costs more than the rest of a request's
+        parsing together. The header read keeps http.client's limits
+        and is strict where email.parser is lenient: a line over
+        65,536 bytes or more than 100 fields answers 431, and a line
+        with no colon, a field name that is not a token, or a line that
+        starts with whitespace (obs-fold) answers 400. Each refusal
+        closes the connection.
+        """
+        self.command = None
+        self.request_version = version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:               # enough to know the version
+            version = words[-1]
+            try:
+                if not version.startswith("HTTP/"):
+                    raise ValueError
+                base_version_number = version.split("/", 1)[1]
+                parts = base_version_number.split(".")
+                # RFC 2145 3.1: one dot, two separate integers
+                if len(parts) != 2 or not all(
+                        part.isdigit() and len(part) <= 10
+                        for part in parts):
+                    raise ValueError
+                version_number = int(parts[0]), int(parts[1])
+            except (ValueError, IndexError):
+                self.send_error(400, f"Bad request version ({version!r})")
+                return False
+            if version_number >= (1, 1) \
+                    and self.protocol_version >= "HTTP/1.1":
+                self.close_connection = False
+            if version_number >= (2, 0):
+                self.send_error(505, "Invalid HTTP version "
+                                     f"({base_version_number})")
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(400, f"Bad request syntax ({requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(400, "Bad HTTP/0.9 request type "
+                                     f"({command!r})")
+                return False
+        self.command, self.path = command, path
+        if path.startswith("//"):         # not an absolute URI: gh-87389
+            self.path = "/" + path.lstrip("/")
+        headers = self._read_headers()
+        if headers is None:
+            return False
+        self.headers = headers
+        connection = headers.get("Connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif (connection == "keep-alive"
+              and self.protocol_version >= "HTTP/1.1"):
+            self.close_connection = False
+        if (headers.get("Expect", "").lower() == "100-continue"
+                and self.protocol_version >= "HTTP/1.1"
+                and self.request_version >= "HTTP/1.1"):
+            return self.handle_expect_100()
+        return True
+
+    def _read_headers(self) -> Optional[_Headers]:
+        """The header block up to its blank line, or None once refused."""
+        headers = _Headers()
+        readline = self.rfile.readline
+        count = 0
+        while True:
+            line = readline(_MAX_HEADER_LINE + 1)
+            if len(line) > _MAX_HEADER_LINE:
+                return self._refuse(431, "a header line exceeds "
+                                         f"{_MAX_HEADER_LINE} bytes")
+            if line in (b"\r\n", b"\n", b""):
+                return headers
+            count += 1
+            if count > _MAX_HEADERS:
+                return self._refuse(431, "more than "
+                                         f"{_MAX_HEADERS} header fields")
+            name, colon, value = line.partition(b":")
+            if not colon or not _FIELD_NAME.fullmatch(name):
+                return self._refuse(
+                    400, f"malformed header line {line[:80]!r}: expected "
+                         "'name: value' (line folding is not supported)")
+            headers.add(name.decode("ascii"),
+                        value.strip(b" \t\r\n").decode("iso-8859-1"))
+
+    def date_time_string(self, timestamp=None) -> str:
+        """The ``Date`` header, formatted once per second."""
+        if timestamp is not None:
+            return super().date_time_string(timestamp)
+        now = int(time.time())
+        second, text = _Handler._date
+        if second != now:
+            text = super().date_time_string(now)
+            _Handler._date = (now, text)
+        return text
 
     @property
     def service(self):

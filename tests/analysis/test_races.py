@@ -306,8 +306,8 @@ class TestCoverage:
 
     def test_write_outside_init_guards_a_field_read_unlocked(self,
                                                              tmp_path):
-        # the WorkerHandle._dispatcher shape: start() rebinds a field
-        # that stop() reads, neither under the lock
+        # a lifecycle thread field: start() rebinds a field that
+        # stop() reads, neither under the lock
         findings = rc100(tmp_path, """\
             def start(self):
                 self._worker = threading.Thread(target=print)

@@ -256,3 +256,37 @@ class TestKernelTransferVectorised:
                 line = kernel.line_for_bandwidth(bandwidth)
                 assert slopes[i, point] == line.slope, bandwidth
                 assert intercepts[i, point] == line.intercept, bandwidth
+
+    def test_ratio_scaling_tie_takes_the_first_nearest_gpu(self, lines_plan):
+        # a degenerate rate fit (every cell ratio-scaled) over three
+        # training GPUs; 1050 GB/s is equidistant from B and A, 450 GB/s
+        # from A and C, so the pick is min's first nearest in dict order
+        tied = KernelTransfer(
+            "t", "flops",
+            rate_fit=LinearFit(0.0, 0.0, 0.0, 0),
+            intercept_fit=LinearFit(0.0, 1.0, 0.0, 2),
+            per_gpu={"B": LinearFit(1.0, 1.0, 0.0, 4),
+                     "A": LinearFit(2.0, 3.0, 0.0, 4),
+                     "C": LinearFit(5.0, 7.0, 0.0, 4)},
+            gpu_bandwidths={"B": 1500.0, "A": 600.0, "C": 300.0})
+        two_gpus = dataclasses.replace(
+            tied, kernel_name="u",
+            per_gpu={"A": LinearFit(2.0, 3.0, 0.0, 4),
+                     "B": LinearFit(1.0, 1.0, 0.0, 4)},
+            gpu_bandwidths={"A": 600.0, "B": 1500.0})
+        bandwidths = [450.0, 1050.0, 100.0, 5000.0]
+        plan = lines_plan({"t": tied, "u": two_gpus})
+        slopes, intercepts = plan.kernel_lines(
+            [gpu("TITAN RTX").with_bandwidth(b) for b in bandwidths])
+        for i, name in enumerate(plan.arrays.used_kernels):
+            kernel = {"t": tied, "u": two_gpus}[name]
+            for point, bandwidth in enumerate(bandwidths):
+                line = kernel.line_for_bandwidth(bandwidth)
+                assert slopes[i, point] == line.slope, (name, bandwidth)
+                assert intercepts[i, point] == line.intercept, (name,
+                                                                bandwidth)
+        # the tie really picks B (listed first) for t, A for u
+        row = plan.arrays.used_kernels.index("t")
+        assert slopes[row, 1] == 1.0 * (1500.0 / 1050.0)
+        row = plan.arrays.used_kernels.index("u")
+        assert slopes[row, 1] == 2.0 * (600.0 / 1050.0)

@@ -1,5 +1,7 @@
-"""Frame protocol: length-prefixed JSON over a stream socket."""
+"""Frame protocol: length-prefixed marshal documents over a stream socket."""
 
+import marshal
+import math
 import socket
 import struct
 
@@ -63,7 +65,32 @@ class TestFrames:
         received = protocol.recv_frame(right)
         thread.join(timeout=5)
         assert received["payload"] == payload
-        assert done and done[0] > len(str(payload))
+        body = marshal.dumps(
+            protocol.request(1, protocol.OP_PREDICT_BATCH, payload))
+        assert done == [4 + len(body)]
+        assert marshal.loads(body) == received
+
+    @pytest.mark.parametrize("make", [protocol.request, protocol.response],
+                             ids=["request", "response"])
+    def test_values_round_trip_exactly(self, pair, make):
+        left, right = pair
+        value = {"gpu": "TITAN RTX – Ω 東京", "nan": math.nan,
+                 "inf": math.inf, "-inf": -math.inf, "-0": -0.0,
+                 "tiny": 5e-324, "big": 2 ** 62, "none": None,
+                 "flags": [True, False],
+                 "nested": [[1, [2.5, ["deep", []]]], {"k": [None]}]}
+        sent = (make(9, protocol.OP_PREDICT, value)
+                if make is protocol.request else make(9, 200, value))
+        protocol.send_frame(left, sent)
+        received = protocol.recv_frame(right)
+        got = received.get("payload", received.get("body"))
+        assert math.isnan(got.pop("nan"))
+        expected = dict(value)
+        del expected["nan"]
+        assert got == expected
+        assert math.copysign(1.0, got["-0"]) == -1.0
+        assert [type(x) for x in got["flags"]] == [bool, bool]
+        assert received["id"] == 9
 
 
 class TestConnectionClosed:
@@ -98,11 +125,20 @@ class TestCorruption:
         with pytest.raises(protocol.ProtocolError, match="exceeds"):
             protocol.recv_frame(right)
 
-    def test_non_json_body_rejected(self, pair):
+    @pytest.mark.parametrize("body", [
+        b"not json at all",
+        b"\xff\xfe\xfd",
+        b"",
+        marshal.dumps({"id": 1, "op": "ping", "payload": {}})[:-3],
+        marshal.dumps({"id": 1, "op": "ping", "payload": {}})[:1],
+        marshal.dumps([1, 2, 3]),
+        marshal.dumps(None),
+    ], ids=["text", "bad-type-code", "empty", "truncated",
+            "one-byte", "not-a-dict", "none"])
+    def test_garbled_body_rejected(self, pair, body):
         left, right = pair
-        body = b"not json at all"
         left.sendall(struct.pack(">I", len(body)) + body)
-        with pytest.raises(protocol.ProtocolError, match="not valid JSON"):
+        with pytest.raises(protocol.ProtocolError):
             protocol.recv_frame(right)
 
     def test_parse_response_rejects_non_responses(self):

@@ -277,3 +277,86 @@ class TestCrashRecoveryOverHTTP:
         assert body["counters"]["worker_restarts_total"] >= 1
         health = json.loads(_get(url, "/healthz")[1])
         assert health["workers"]["restarts"] >= 1
+
+
+def _without_cache_flags(result):
+    return {key: value for key, value in result.items()
+            if key not in ("cached", "plan_cached")}
+
+
+class TestPipelinedLoad:
+    """Concurrent near-cap posts share both worker channels."""
+
+    NETWORKS = ("alexnet", "resnet18", "resnet50", "vgg11",
+                "mobilenet_v2", "squeezenet1_1", "densenet121",
+                "shufflenet_v1", "googlenet", "efficientnet_b0")
+
+    def _body(self, thread_index, post_index):
+        items = []
+        for index in range(250):               # BATCH_CAP is 256
+            network = self.NETWORKS[(index + thread_index)
+                                    % len(self.NETWORKS)]
+            batch_size = (32, 64, 128)[(index + post_index) % 3]
+            model = ("kw-a100", "lw-a100", "e2e-a100", "igkw")[index % 4]
+            item = {"model": model, "network": network,
+                    "batch_size": batch_size}
+            if model == "igkw":
+                item["gpu"] = ("A100", "TITAN RTX")[index % 2]
+            items.append(item)
+        return {"items": items}
+
+    def test_concurrent_sharded_posts_match_in_process(
+            self, models_dir, scaled_server):
+        import http.client
+        import threading
+
+        url, server = scaled_server
+        host, port = server.httpd.server_address[:2]
+        threads, posts = 8, 3
+        replies = {}
+        errors = []
+
+        def client(thread_index):
+            connection = http.client.HTTPConnection(host, port,
+                                                    timeout=60)
+            try:
+                for post_index in range(posts):
+                    connection.request(
+                        "POST", "/predict_batch",
+                        body=json.dumps(self._body(
+                            thread_index, post_index)).encode())
+                    response = connection.getresponse()
+                    replies[thread_index, post_index] = (
+                        response.status, json.loads(response.read()))
+            except Exception as exc:  # repro: noqa[EX001]
+                errors.append(exc)
+            finally:
+                connection.close()
+
+        workers = [threading.Thread(target=client, args=(index,))
+                   for index in range(threads)]
+        started = time.monotonic()
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(120)
+        assert time.monotonic() - started < 120
+        assert errors == []
+        assert len(replies) == threads * posts
+        slots = {server.pool.route(item["model"], item["network"]).slot
+                 for item in self._body(0, 0)["items"]}
+        assert slots == {0, 1}
+        reference = PredictionService(ModelRegistry(models_dir))
+        for (thread_index, post_index), (status, body) in \
+                sorted(replies.items()):
+            assert status == 200
+            expected = reference.predict_batch(
+                self._body(thread_index, post_index))
+            assert body["count"] == expected["count"] == 250
+            assert body["errors"] == expected["errors"]
+            # cache flags depend on what each cache saw before
+            assert [_without_cache_flags(result)
+                    for result in body["results"]] == [
+                _without_cache_flags(result)
+                for result in expected["results"]]
+        assert server.pool.restarts_total() == 0

@@ -502,10 +502,20 @@ class TestStrictFraming:
         (b"GET /healthz HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
          b"0\r\n\r\n", 411),
         (b"GET /healthz HTTP/1.1\r\nContent-Length: x\r\n\r\n", 400),
+        (b"POST /predict HTTP/1.1\r\nContent-Length 2\r\n\r\n{}", 400),
+        (b"POST /predict HTTP/1.1\r\nContent-Length: 2\r\n"
+         b" X-Folded: yes\r\n\r\n{}", 400),
+        (b"POST /predict HTTP/1.1\r\n"
+         + b"".join(b"X-Field-%d: v\r\n" % index for index in range(101))
+         + b"Content-Length: 2\r\n\r\n{}", 431),
+        (b"POST /predict HTTP/1.1\r\nX-Long: "
+         + b"v" * (65537 - len(b"X-Long: \r\n")) + b"\r\n"
+         + b"Content-Length: 2\r\n\r\n{}", 431),
     ], ids=["negative", "non-integer", "signed", "duplicate", "huge",
             "over-frame-cap", "missing", "missing-404",
             "transfer-encoding", "get-transfer-encoding",
-            "get-non-integer"])
+            "get-non-integer", "header-without-colon",
+            "header-obs-fold", "101-headers", "header-line-65537"])
     def test_unframeable_request_is_refused_and_closed(
             self, front, request_bytes, status):
         sock = front.connect()
@@ -519,6 +529,37 @@ class TestStrictFraming:
         assert headers["connection"] == "close"
         assert "error" in json.loads(body)
         assert seconds < PROMPT_S
+
+    def test_content_length_frames_in_any_letter_case(self, front):
+        body = json.dumps(KW).encode()
+        sock = front.connect()
+        try:
+            for name in ("content-length", "CONTENT-LENGTH",
+                         "cOnTeNt-LeNgTh"):
+                sock.sendall(b"POST /predict HTTP/1.1\r\nHost: test\r\n"
+                             + name.encode()
+                             + b": %d\r\n\r\n" % len(body) + body)
+            sock.sendall(_request("GET", "/healthz",
+                                  headers="Connection: close\r\n"))
+            replies, _ = _replies_until_close(sock, 10)
+        finally:
+            sock.close()
+        assert [reply[0] for reply in replies] == [200, 200, 200, 200]
+        predicted = [json.loads(reply[2])["predicted_us"]
+                     for reply in replies[:3]]
+        assert predicted == [predicted[0]] * 3
+
+    def test_one_hundred_headers_are_accepted(self, front):
+        fields = "".join(f"X-Field-{index}: v\r\n" for index in range(98))
+        sock = front.connect()
+        try:
+            # 98 fields, Host and Connection: the limit of 100 is inclusive
+            sock.sendall(_request("GET", "/healthz",
+                                  headers=fields + "Connection: close\r\n"))
+            replies, _ = _replies_until_close(sock, 10)
+        finally:
+            sock.close()
+        assert [reply[0] for reply in replies] == [200]
 
     def test_short_body_then_half_close_is_400(self, front):
         """The truncation ``{}`` is valid JSON: it must not be served."""
