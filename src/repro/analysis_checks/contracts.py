@@ -34,9 +34,9 @@ cross-checks:
          returns exactly what the scalar ``evaluate`` returns point by
          point — single-target plans broadcast their one value, and a
          retargetable plan's numpy grid replays the scalar arithmetic
-         bit-for-bit across heterogeneous targets, its one-target
-         ``price`` pass returning each grid point's (total, fallback
-         share) pair exactly, its ``lw_plan(target)`` evaluating
+         bit-for-bit across heterogeneous targets, each grid point's
+         (total, fallback share) pair equal to the plan bound to that
+         target (``bind``), its ``lw_plan(target)`` evaluating
          exactly to the nearest LW model's direct per-layer sum, and
          its one synthesis pass (``kernel_lines``) giving every used
          kernel exactly the scalar ``line_for_bandwidth`` line per
@@ -55,8 +55,8 @@ cross-checks:
          bit-exactly with the freshly compiled plan under
          :func:`~repro.core.planopt.plan_mismatch` (a kernel plan's
          total, share, per-layer coverage records and ``lw_plan()``; a
-         retargetable plan's grid, ``price`` and bound plans per
-         target), and a bundle whose model file changed underneath is
+         retargetable plan's grid, checked per target against the fresh
+         bound plan, and its bound plans), and a bundle whose model file changed underneath is
          refused outright.
          (Shares CT007's trained campaign, so it runs only on the full
          sweep.)
@@ -262,7 +262,7 @@ def _check_plan_parity(networks: Dict[str, object], batch_size: int,
     GPU the campaign never measured. The same compiled plans then feed
     CT009: ``evaluate_many`` over a target grid must reproduce the
     scalar ``evaluate`` point by point, a retargetable plan's
-    ``price`` must reproduce ``evaluate_grid``'s (total, share) pairs,
+    ``evaluate_grid`` (total, share) pairs must equal its bound plans',
     its ``lw_plan(target)`` the nearest LW model's direct sum, and its
     ``kernel_lines`` the scalar ``line_for_bandwidth`` of every used
     kernel, bit-exactly.
@@ -327,11 +327,15 @@ def _check_plan_parity(networks: Dict[str, object], batch_size: int,
                         return (f"kernel_lines {kernel!r} on {spec.name!r}: "
                                 f"{synthesised!r} != line_for_bandwidth "
                                 f"{scalar_line!r}")
-            # the scalar pass prices (total, share) exactly as the grid
-            priced = [plan.price(point) for point in grid]
+            # every grid column is the bound plan's (total, share)
+            bound = [plan.bind(point) for point in grid]
+            scalar_pairs = [(kernel_plan.evaluate(),
+                             kernel_plan.fallback_time_share())
+                            for kernel_plan in bound]
             gridded = list(zip(*plan.evaluate_grid(grid)))
-            if priced != gridded:  # repro: noqa[FP001]
-                return f"price {priced!r} != evaluate_grid {gridded!r}"
+            if gridded != scalar_pairs:  # repro: noqa[FP001]
+                return (f"evaluate_grid {gridded!r} != bind "
+                        f"{scalar_pairs!r}")
             # the degraded tier's LW plan replays the nearest LW model
             lw_plans = [plan.lw_plan(point).evaluate() for point in grid]
             lw_direct = [

@@ -16,9 +16,9 @@ compiler-style predictors (ANNETTE's "model lowering" step):
   resolution, and the references to the regression lines that will price
   each term;
 - ``plan.evaluate()`` (or ``plan.evaluate(gpu=...)`` for the retargetable
-  inter-GPU plan, whose ``price(gpu)`` also returns the fallback share)
-  is a tight loop over pre-resolved ``(feature_value, LinearFit)``
-  pairs.
+  inter-GPU plan, whose ``evaluate_grid(gpus)`` also returns the fallback
+  shares) is a tight loop over pre-resolved ``(feature_value,
+  LinearFit)`` pairs.
 
 Evaluation is **bit-exact** with the direct path: each plan preserves the
 same per-layer accumulation structure (float addition is not
@@ -213,7 +213,7 @@ class KernelArrays:
                                    ...]:
         """Per layer, its ``(kernel index, value)`` terms, padding
         dropped; None for a layer on the layer-wise fallback. Taken from
-        the matrices once: the scalar walk of :func:`_price_layers`."""
+        the matrices once for :class:`KernelPlan`'s scalar walk."""
         real = self.term_kidx != len(self.used_kernels)
         pairs = list(zip(self.term_kidx[real].tolist(),
                          self.term_values[real].tolist()))
@@ -232,9 +232,9 @@ def require_fallback(arrays: KernelArrays, lw) -> None:
     """Raise unless ``lw`` can price the arrays' fallback layers.
 
     A plan with an unmapped layer cannot be priced without a trained
-    layer-wise model. KW's compile, ``RetargetablePlan.bind``, ``price``
-    and the grid path all raise the same error from here, naming the
-    first unmapped layer.
+    layer-wise model. KW's compile, ``RetargetablePlan.bind`` and the
+    grid path all raise the same error from here, naming the first
+    unmapped layer.
     """
     if not arrays.fallback_idx.size:
         return
@@ -255,40 +255,6 @@ def _fallback_times(arrays: KernelArrays, lw) -> List[float]:
     flops = arrays.flops.tolist()
     return [lw.predict_layer(arrays.kinds[position], flops[position])
             for position in arrays.fallback_idx.tolist()]
-
-
-def _price_layers(layer_terms, slopes: Sequence[float],
-                  intercepts: Sequence[float],
-                  fallback_times: Sequence[float]
-                  ) -> Tuple[float, float, List[float]]:
-    """``(total, fallback total, per-layer times)`` for one set of lines.
-
-    The one scalar walk of a kernel-level plan. A mapped layer's time
-    is its kernel terms ``slopes[k] * value + intercepts[k]``, each
-    clamped at ``0.0`` (a kernel never takes negative time, however far
-    its line extrapolates), added left to right; a fallback layer's time
-    is the next of ``fallback_times``. The totals add the layer times in
-    graph order. :class:`KernelPlan` walks its fitted lines here and
-    ``RetargetablePlan.price`` one target's synthesised lines, so both
-    accumulate the same float sequence.
-    """
-    fallback_iter = iter(fallback_times)
-    times = []
-    total = 0.0
-    fallback = 0.0
-    for terms in layer_terms:
-        if terms is None:
-            time_us = next(fallback_iter)
-            fallback += time_us
-        else:
-            time_us = 0.0
-            for k, value in terms:
-                # max(0.0, t) exactly, NaN and -0.0 included
-                t = slopes[k] * value + intercepts[k]
-                time_us += t if t > 0.0 else 0.0
-        total += time_us
-        times.append(time_us)
-    return total, fallback, times
 
 
 class KernelPlan(PredictionPlan):
@@ -333,15 +299,39 @@ class KernelPlan(PredictionPlan):
         return self._lw_plan
 
     def _priced_layers(self) -> Tuple[float, float, List[float]]:
-        """Cached :func:`_price_layers` over this plan's lines, which
-        ``evaluate``, ``fallback_time_share`` and ``coverage`` read."""
+        """``(total, fallback total, per-layer times)``, cached, which
+        ``evaluate``, ``fallback_time_share`` and ``coverage`` read.
+
+        A mapped layer's time is its kernel terms ``slope * value +
+        intercept``, each clamped at ``0.0`` (a kernel never takes
+        negative time, however far its line extrapolates), added left
+        to right; a fallback layer's time is its ``lw_model``
+        prediction. The totals add the layer times in graph order, the
+        float sequence ``RetargetablePlan.evaluate_grid`` replays column
+        by column.
+        """
         if self._priced is None:
             arrays = self.arrays
-            self._priced = _price_layers(
-                arrays.layer_terms, [fit.slope for fit in self.lines],
-                [fit.intercept for fit in self.lines],
-                _fallback_times(arrays, self.lw_model)
-                if arrays.fallback_idx.size else ())
+            slopes = [fit.slope for fit in self.lines]
+            intercepts = [fit.intercept for fit in self.lines]
+            fallback_times = iter(_fallback_times(arrays, self.lw_model)
+                                  if arrays.fallback_idx.size else ())
+            times = []
+            total = 0.0
+            fallback = 0.0
+            for terms in arrays.layer_terms:
+                if terms is None:
+                    time_us = next(fallback_times)
+                    fallback += time_us
+                else:
+                    time_us = 0.0
+                    for k, value in terms:
+                        # max(0.0, t) exactly, NaN and -0.0 included
+                        t = slopes[k] * value + intercepts[k]
+                        time_us += t if t > 0.0 else 0.0
+                total += time_us
+                times.append(time_us)
+            self._priced = (total, fallback, times)
         return self._priced
 
     def evaluate(self, gpu: Optional[GPUSpec] = None) -> float:
@@ -405,11 +395,11 @@ class RetargetablePlan(PredictionPlan):
     coefficient columns of the used kernels and, per layer-wise model,
     the fallback layers' times. :meth:`kernel_lines` then synthesises
     every used kernel's line for every target in one array pass, which
-    ``price(target)`` (one target, walked in plain floats) and
-    ``evaluate_grid`` (many targets, over the term matrices) both read.
+    ``evaluate_grid`` prices over the term matrices; every number the
+    plan answers, ``evaluate(gpu=)`` included, is a column of that grid.
     ``bind(target)`` returns a :class:`KernelPlan` over the same arrays
     with lines from the scalar ``KernelTransfer.line_for_bandwidth``,
-    the independent reference the other paths are checked against;
+    the independent reference the grid is checked against;
     ``lw_plan(target)`` is the target's layer-wise fallback plan for
     degraded answers.
     ``evaluate`` and ``coverage`` require a target GPU.
@@ -494,7 +484,7 @@ class RetargetablePlan(PredictionPlan):
         Each used kernel's line comes from the scalar
         ``KernelTransfer.line_for_bandwidth``, not from
         :meth:`kernel_lines`, so a bound plan is the independent
-        reference for ``price`` and ``evaluate_grid``.
+        reference for ``evaluate_grid``.
         """
         metric_value = self._metric_value(target)
         lw = self._target_lw(target)
@@ -540,29 +530,13 @@ class RetargetablePlan(PredictionPlan):
             self._fallback_times[id(lw)] = times
         return times
 
-    def price(self, target: GPUSpec) -> Tuple[float, float]:
-        """(predicted us, fallback time share) for one target, one pass.
-
-        No KernelPlan is materialised, yet the walk is
-        ``bind(target)``'s, :func:`_price_layers`, so the pair is
-        bit-exact with ``bind(target).evaluate()`` and
-        ``bind(target).fallback_time_share()``. The lines are column 0
-        of :meth:`kernel_lines`, walked as plain floats.
-        """
-        slopes, intercepts = self.kernel_lines([target])
-        total, fallback, _ = _price_layers(
-            self.arrays.layer_terms, slopes[:, 0].tolist(),
-            intercepts[:, 0].tolist(),
-            self._fallback_times_of(self._target_lw(target)))
-        return total, (0.0 if total == 0 else fallback / total)
-
     def _metric_value(self, target: GPUSpec) -> float:
         """The target's driver metric, checked once per target.
 
         Line synthesis divides by it, so a non-positive or non-finite
-        value is rejected here: ``bind``, ``price`` and the grid path
-        raise the same ``ValueError`` for it instead of pricing a
-        silently wrong time.
+        value is rejected here: ``bind`` and the grid path raise the
+        same ``ValueError`` for it instead of pricing a silently wrong
+        time.
         """
         value = self._metric(target)
         if not (math.isfinite(value) and value > 0.0):
@@ -589,9 +563,7 @@ class RetargetablePlan(PredictionPlan):
         return lw
 
     def evaluate(self, gpu: Optional[GPUSpec] = None) -> float:
-        if gpu is None:
-            raise TypeError(_NEEDS_TARGET)
-        return self.price(gpu)[0]
+        return self.evaluate_grid([gpu])[0][0]
 
     def _layer_times(self, targets: Sequence[GPUSpec]) -> np.ndarray:
         """Per-layer, per-target times as an (n_layers, n_targets) array.
@@ -599,7 +571,8 @@ class RetargetablePlan(PredictionPlan):
         Every elementwise operation mirrors the scalar path —
         ``slope * value + intercept`` in IEEE doubles, the same
         ``max(0.0, ·)`` clamp, the same left-to-right term accumulation —
-        so column ``p`` is bit-exact with ``evaluate(gpu=targets[p])``.
+        so column ``p`` is bit-exact with the per-layer times of
+        ``bind(targets[p])``.
         """
         arrays = self.arrays
         n_points = len(targets)

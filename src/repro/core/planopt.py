@@ -413,8 +413,8 @@ def plan_mismatch(loaded: PredictionPlan, fresh: PredictionPlan,
     coverage records (name, kind, signature, stage, predicted time) and
     ``lw_plan()`` total, so every persisted column is read back. A
     retargetable plan compares its grid over ``targets``, then per
-    target its ``price`` (against the fresh plan's, and the grid's
-    column) and its bound plans as kernel plans. Other plans compare
+    target the grid's column against the fresh plan bound to that
+    target, and its bound plans as kernel plans. Other plans compare
     ``evaluate()``; they ignore ``targets``.
     """
     # the contract IS exact equality: the AOT plan must replay the fresh
@@ -424,13 +424,12 @@ def plan_mismatch(loaded: PredictionPlan, fresh: PredictionPlan,
         if got != want:  # repro: noqa[FP001]
             return f"AOT grid {got!r} != fresh {want!r}"
         for point, time_us, share in zip(targets, *got):
-            priced, want = loaded.price(point), fresh.price(point)
-            grid_point = (time_us, share)
-            if priced != want or grid_point != want:  # repro: noqa[FP001]
-                return (f"{point.name}: AOT price {priced!r} (grid "
-                        f"{grid_point!r}) != fresh {want!r}")
-            mismatch = plan_mismatch(loaded.bind(point), fresh.bind(point),
-                                     ())
+            bound = fresh.bind(point)
+            want = (bound.evaluate(), bound.fallback_time_share())
+            if (time_us, share) != want:  # repro: noqa[FP001]
+                return (f"{point.name}: AOT grid ({time_us!r}, "
+                        f"{share!r}) != fresh bound {want!r}")
+            mismatch = plan_mismatch(loaded.bind(point), bound, ())
             if mismatch is not None:
                 return f"{point.name}: {mismatch}"
         return None

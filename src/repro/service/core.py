@@ -194,23 +194,21 @@ class PredictionService:
             network_name, batch_size)
 
     def _igkw_outcome(self, plan, target, network_name: str,
-                      batch_size: int, total_us: float, share: float,
-                      vectorized: bool = False) -> PredictionOutcome:
-        """One igkw miss, given the target's priced (total, share).
+                      batch_size: int, total_us: float,
+                      share: float) -> PredictionOutcome:
+        """One igkw miss, given the target's (total, share) column of
+        ``plan.evaluate_grid``.
 
         At or below the coverage threshold the kw tier answers with
-        exactly ``total_us`` — the priced total is bit-exact with
+        exactly ``total_us`` — the grid's total is bit-exact with
         ``bind(target).evaluate()`` and the share gate is the comparison
         the tier applies. A degraded miss runs the same
         :func:`kernel_chain` over the priced pair and the plan's cached
         ``lw_plan(target)``: no KernelPlan is bound and no network is
-        built. ``vectorized`` marks a total read off a batch's
-        ``evaluate_grid`` pass.
+        built.
         """
         if share <= self.coverage_threshold:
             outcome = PredictionOutcome(total_us, "kw", (("kw", None),))
-            if vectorized:
-                self.metrics.increment("batch_vectorized_items_total")
             self._count_outcome(outcome)
             return outcome
         return self._run_chain(
@@ -241,52 +239,166 @@ class PredictionService:
                          for name, reason in outcome.attempts],
         }
 
+    @staticmethod
+    def _error_slot(exc: Exception) -> Dict:
+        """The /predict_batch slot of an item that failed with ``exc``:
+        the status and message /predict answers for it."""
+        if isinstance(exc, ServiceError):
+            return {"error": exc.message, "status": exc.status}
+        return {"error": f"internal error: {type(exc).__name__}: {exc}",
+                "status": 500}
+
     # -- endpoints ------------------------------------------------------------
 
     def predict(self, payload: Dict) -> Dict:
         """Serve one /predict body; raises ServiceError on bad requests.
 
-        Concurrent misses on one result-cache key compute it once: the
-        first computes, the others wait and answer from the cache.
+        A result-cache hit answers at once; a miss is a one-item
+        :meth:`_serve_misses`, the code /predict_batch runs, and its
+        exception is raised here.
         """
         request = self._parse_predict(payload)
-        model_name, network_name, batch_size, gpu_name, bandwidth = request
-        entry = self._lookup_entry(model_name)
-
-        key = cache_key(model_name, network_name, batch_size, gpu_name,
-                        bandwidth, version=entry.stamp)
+        entry = self._lookup_entry(request[0])
+        key = cache_key(*request, version=entry.stamp)
         cached = self.cache.get(key)
         if cached is not None:
             # a result hit answers without touching plans at all
             return dict(cached, cached=True, plan_cached=True)
-        flight = self._join_flight(key)
-        if flight is None:
-            try:
-                return self._predict_miss(entry, request, key)
-            finally:
-                self._land(key)
-        with flight:                  # held by the leader until it lands
-            pass
-        cached = self.cache.get(key)
-        if cached is not None:
-            return dict(cached, cached=True, plan_cached=True)
-        # the leader failed: this request computes (and fails) on its own
-        return self._predict_miss(entry, request, key)
+        results: List = [None]
+        self._serve_misses([(0, request, entry, key)], results)
+        if isinstance(results[0], Exception):
+            raise results[0]
+        return results[0]
 
-    def _predict_miss(self, entry, request: Tuple, key: Tuple) -> Dict:
-        model_name, network_name, batch_size, gpu_name, bandwidth = request
-        plan, plan_cached = self._plan_for(entry, model_name, network_name,
-                                           batch_size)
-        if entry.kind == "igkw":
-            target = self._resolve_igkw_target(model_name, gpu_name,
-                                               bandwidth)
-            outcome = self._igkw_outcome(plan, target, network_name,
-                                         batch_size, *plan.price(target))
-        else:
-            outcome = self._plan_outcome(plan, network_name, batch_size)
-        response = self._response_for(entry, request, outcome)
-        self.cache.put(key, response)
-        return dict(response, cached=False, plan_cached=plan_cached)
+    def predict_batch(self, payload: Dict) -> Dict:
+        """Serve one /predict_batch body: many /predict items at once.
+
+        One malformed or failing item never fails the batch: its slot in
+        ``results`` carries ``{"error", "status"}`` while the rest are
+        ordinary /predict responses, and the endpoint answers 200.
+        Items are looked up in the result cache individually; the
+        misses go to :meth:`_serve_misses` together, so each (model,
+        network, batch size) compiles at most one plan and, for
+        retargetable (igkw) plans, prices all its targets in one
+        ``evaluate_grid`` pass.
+        """
+        if not isinstance(payload, dict):
+            raise ServiceError(400, "request body must be a JSON object")
+        items = payload.get("items")
+        if not isinstance(items, list):
+            raise ServiceError(
+                400, "request must carry an 'items' list of /predict bodies")
+        if not items:
+            raise ServiceError(400, "'items' must not be empty")
+        if len(items) > self.batch_cap:
+            raise ServiceError(
+                413, f"batch of {len(items)} items exceeds the server cap "
+                f"of {self.batch_cap}; split the request")
+        self.metrics.increment("batch_items_total", by=len(items))
+        self.metrics.observe("batch_size", float(len(items)),
+                             buckets=BATCH_SIZE_BUCKETS)
+
+        results: List = [None] * len(items)
+        pending = []                  # (position, request, entry, key)
+        for position, item in enumerate(items):
+            try:
+                request = self._parse_predict(item)
+                entry = self._lookup_entry(request[0])
+            except ServiceError as exc:
+                results[position] = exc
+                continue
+            pending.append((position, request, entry,
+                            cache_key(*request, version=entry.stamp)))
+        misses = []
+        for miss, cached in zip(pending, self.cache.get_many(
+                [key for *_, key in pending])):
+            if cached is None:
+                misses.append(miss)
+            else:
+                results[miss[0]] = dict(cached, cached=True,
+                                        plan_cached=True)
+        grid_failures = self._serve_misses(misses, results)
+
+        # the batch counters, read off the answers: a cached slot is a
+        # result-cache hit, and a fresh igkw kw-tier answer came off its
+        # group's grid unless that grid failed
+        repriced = set()
+        for exc, positions in grid_failures:
+            self.metrics.increment(
+                f"batch_grid_errors_{type(exc).__name__}_total")
+            repriced.update(positions)
+        hits = vectorized = errors = 0
+        for position, result in enumerate(results):
+            if isinstance(result, Exception):
+                results[position] = self._error_slot(result)
+                errors += 1
+            elif result["cached"]:
+                hits += 1
+            elif (result["kind"] == "igkw" and result["tier"] == "kw"
+                    and position not in repriced):
+                vectorized += 1
+        for name, count in (("batch_cache_hits_total", hits),
+                            ("batch_vectorized_items_total", vectorized),
+                            ("batch_item_errors_total", errors)):
+            if count:
+                self.metrics.increment(name, by=count)
+        return {"count": len(items), "errors": errors, "results": results}
+
+    def _serve_misses(self, misses: List[Tuple], results: List
+                      ) -> List[Tuple[Exception, List[int]]]:
+        """Answer result-cache misses ``(position, request, entry,
+        key)`` into ``results``: each slot gets a response or the
+        item's exception.
+
+        Misses on one key, here or in concurrent requests, compute once
+        (single flight): the leader answers, and the others wait for
+        it and answer from the cache as ``cached: true``, or compute on
+        their own when it failed. The misses this call leads are
+        grouped by (model, network, batch size, model stamp) and each
+        group is answered by :meth:`_serve_batch_group`. Returns each
+        igkw group whose one ``evaluate_grid`` pass failed, as (the
+        grid's exception, the group's positions).
+        """
+        groups: Dict[Tuple, List[Tuple]] = {}
+        led = set()                   # keys this call computes
+        waiting = []                  # (miss, flight) computed elsewhere
+        grid_failures: List[Tuple[Exception, List[int]]] = []
+        try:
+            for miss in misses:
+                _, request, entry, key = miss
+                if key not in led:
+                    flight = self._join_flight(key)
+                    if flight is not None:
+                        waiting.append((miss, flight))
+                        continue
+                    led.add(key)
+                groups.setdefault((*request[:3], entry.stamp),
+                                  []).append(miss)
+            for group in groups.values():
+                self._serve_batch_group(group, results, grid_failures)
+                # a request waiting on this group's keys must not wait
+                # for the later groups too
+                for *_, key in group:
+                    if key in led:
+                        led.discard(key)
+                        self._land(key)
+        finally:
+            for key in led:           # left in flight by a failure
+                self._land(key)
+        # waits only once every led key has landed, so two requests
+        # leading keys the other waits on can never deadlock
+        for miss, flight in waiting:
+            with flight:
+                pass
+            position, *_, key = miss
+            cached = self.cache.get(key)
+            if cached is None:
+                # the leader failed: this item computes (and fails) alone
+                self._serve_batch_group([miss], results, grid_failures)
+            else:
+                results[position] = dict(cached, cached=True,
+                                         plan_cached=True)
+        return grid_failures
 
     def _join_flight(self, key: Tuple) -> Optional[threading.Lock]:
         """Lead ``key``'s computation, or wait on the one in flight.
@@ -314,221 +426,108 @@ class PredictionService:
         with self._lock:
             self._inflight.pop(key).release()
 
-    def predict_batch(self, payload: Dict) -> Dict:
-        """Serve one /predict_batch body: many /predict items at once.
+    def _serve_batch_group(self, group: List[Tuple], results: List,
+                           grid_failures: List) -> None:
+        """Answer one (model, network, batch, stamp) group of misses.
 
-        One malformed or failing item never fails the batch: its slot in
-        ``results`` carries ``{"error", "status"}`` while the rest are
-        ordinary /predict responses, and the endpoint answers 200.
-        Items are looked up in the result cache individually, then cache
-        misses are grouped by (model, network, batch size, model stamp)
-        so each group compiles at most one plan — and, for retargetable
-        (igkw) plans, prices all its targets in one vectorised
-        ``evaluate_grid`` pass instead of binding per item. A miss
-        whose key another request is computing waits for that answer
-        and reports it as cached, as :meth:`predict` does.
+        The plan is looked up or compiled once for the group. Each item
+        is then answered in order: a key answered earlier in the group
+        is an in-batch duplicate and answers as cached, as a sequential
+        request would hit the result cache; any other item's outcome is
+        priced, and its response is cached. A failure, the plan's
+        included, lands in the item's own slot as its exception.
         """
-        if not isinstance(payload, dict):
-            raise ServiceError(400, "request body must be a JSON object")
-        items = payload.get("items")
-        if not isinstance(items, list):
-            raise ServiceError(
-                400, "request must carry an 'items' list of /predict bodies")
-        if not items:
-            raise ServiceError(400, "'items' must not be empty")
-        if len(items) > self.batch_cap:
-            raise ServiceError(
-                413, f"batch of {len(items)} items exceeds the server cap "
-                f"of {self.batch_cap}; split the request")
-        self.metrics.increment("batch_items_total", by=len(items))
-        self.metrics.observe("batch_size", float(len(items)),
-                             buckets=BATCH_SIZE_BUCKETS)
-
-        results: List[Optional[Dict]] = [None] * len(items)
-        pending = []                  # (position, request, entry, key)
-        for position, item in enumerate(items):
-            try:
-                request = self._parse_predict(item)
-                entry = self._lookup_entry(request[0])
-            except ServiceError as exc:
-                results[position] = {"error": exc.message,
-                                     "status": exc.status}
-                continue
-            key = cache_key(request[0], request[1], request[2],
-                            request[3], request[4], version=entry.stamp)
-            pending.append((position, request, entry, key))
-
-        cached_values = self.cache.get_many(
-            [key for _, _, _, key in pending])
-        groups: Dict[Tuple, List[Tuple]] = {}
-        led = set()                   # keys this batch computes
-        waiting = []                  # (miss, flight) computed elsewhere
-        try:
-            for miss, cached in zip(pending, cached_values):
-                position, request, entry, key = miss
-                if cached is not None:
-                    results[position] = dict(cached, cached=True,
-                                             plan_cached=True)
-                    self.metrics.increment("batch_cache_hits_total")
-                    continue
-                if key not in led:
-                    flight = self._join_flight(key)
-                    if flight is not None:
-                        waiting.append((miss, flight))
-                        continue
-                    led.add(key)
-                group_key = (request[0], request[1], request[2],
-                             entry.stamp)
-                groups.setdefault(group_key, []).append(miss)
-            for group in groups.values():
-                self._serve_batch_group(group, results)
-                # a request waiting on this group's keys must not wait
-                # for the batch's later groups too
-                for _, _, _, key in group:
-                    if key in led:
-                        led.discard(key)
-                        self._land(key)
-        finally:
-            for key in led:           # left in flight by a failure
-                self._land(key)
-        # waits only once every led key has landed, so two batches
-        # leading keys the other waits on can never deadlock
-        for miss, flight in waiting:
-            with flight:
-                pass
-            position, _, _, key = miss
-            cached = self.cache.get(key)
-            if cached is None:
-                self._serve_batch_group([miss], results)
-                continue
-            results[position] = dict(cached, cached=True, plan_cached=True)
-            self.metrics.increment("batch_cache_hits_total")
-
-        errors = sum(1 for result in results if "status" in result)
-        if errors:
-            self.metrics.increment("batch_item_errors_total", by=errors)
-        return {"count": len(items), "errors": errors, "results": results}
-
-    def _serve_batch_group(self, group: List[Tuple],
-                           results: List[Optional[Dict]]) -> None:
-        """Answer one (model, network, batch, stamp) group of cache misses."""
         _, first_request, entry, _ = group[0]
         model_name, network_name, batch_size = first_request[:3]
         try:
             plan, plan_cached = self._plan_for(
                 entry, model_name, network_name, batch_size)
-        # one bad group must not fail the batch: every failure mode
-        # lands in the group's own result slots, type preserved
-        except ServiceError as exc:
+        except Exception as exc:  # repro: noqa[EX001] slotted per item
             for position, *_ in group:
-                results[position] = {"error": exc.message,
-                                     "status": exc.status}
+                results[position] = exc
             return
-        except Exception as exc:  # repro: noqa[EX001]
-            message = f"internal error: {type(exc).__name__}: {exc}"
-            for position, *_ in group:
-                results[position] = {"error": message, "status": 500}
-            return
+        if entry.kind == "igkw":
+            outcome_of = self._igkw_outcomes(group, plan, network_name,
+                                             batch_size, grid_failures)
+        else:
+            outcome_of = self._plain_outcomes(plan, network_name,
+                                              batch_size)
         # plan-cache parity with the sequential path: only the first
         # item of a freshly-compiled group reports plan_cached=False
-        flags = [plan_cached] + [True] * (len(group) - 1)
-        if entry.kind == "igkw":
-            self._serve_igkw_group(group, flags, entry, network_name,
-                                   plan, results)
-        else:
-            self._serve_plain_group(group, flags, entry, network_name,
-                                    plan, results)
+        computed: Dict[Tuple, Dict] = {}
+        for index, (position, request, _, key) in enumerate(group):
+            earlier = computed.get(key)
+            if earlier is not None:
+                results[position] = dict(earlier, cached=True,
+                                         plan_cached=True)
+                continue
+            try:
+                response = self._response_for(entry, request,
+                                              outcome_of(index))
+                self.cache.put(key, response)
+            except Exception as exc:  # repro: noqa[EX001] slotted
+                results[position] = exc
+                continue
+            computed[key] = response
+            results[position] = dict(response, cached=False,
+                                     plan_cached=plan_cached or index > 0)
 
-    def _serve_plain_group(self, group, flags, entry, network_name, plan,
-                           results) -> None:
+    def _plain_outcomes(self, plan, network_name: str, batch_size: int):
         # a single-GPU plan's outcome is identical for every item of
         # the group (gpu/bandwidth are echoed, not used): run the
-        # fallback chain once, count tiers per item for metrics parity
-        computed: Dict[Tuple, Dict] = {}
-        outcome: Optional[PredictionOutcome] = None
-        for flag, (position, request, _, key) in zip(flags, group):
-            try:
-                earlier = computed.get(key)
-                if earlier is not None:
-                    # an in-batch duplicate: sequential requests would
-                    # have hit the result cache here
-                    results[position] = dict(earlier, cached=True,
-                                             plan_cached=True)
-                    self.metrics.increment("batch_cache_hits_total")
-                    continue
-                if outcome is None:
-                    outcome = self._plan_outcome(plan, network_name,
-                                                 request[2])
-                else:
-                    self._count_outcome(outcome)
-                response = self._response_for(entry, request, outcome)
-                self.cache.put(key, response)
-                computed[key] = response
-                results[position] = dict(response, cached=False,
-                                         plan_cached=flag)
-            except ServiceError as exc:
-                results[position] = {"error": exc.message,
-                                     "status": exc.status}
-            except Exception as exc:  # repro: noqa[EX001]
-                results[position] = {
-                    "error": f"internal error: {type(exc).__name__}: {exc}",
-                    "status": 500}
+        # fallback chain until it answers once, count tiers per item
+        outcome = None
 
-    def _serve_igkw_group(self, group, flags, entry, network_name, plan,
-                          results) -> None:
-        model_name, _, batch_size = group[0][1][:3]
-        resolved = []       # (position, request, key, flag, target)
-        for flag, (position, request, _, key) in zip(flags, group):
+        def outcome_of(index: int) -> PredictionOutcome:
+            nonlocal outcome
+            if outcome is None:
+                outcome = self._plan_outcome(plan, network_name, batch_size)
+            else:
+                self._count_outcome(outcome)
+            return outcome
+        return outcome_of
+
+    def _igkw_outcomes(self, group, plan, network_name: str,
+                       batch_size: int, grid_failures: List):
+        model_name = group[0][1][0]
+        targets: List = []            # per item: its target, or its error
+        for _, request, _, _ in group:
             try:
-                target = self._resolve_igkw_target(model_name, request[3],
-                                                   request[4])
+                targets.append(self._resolve_igkw_target(
+                    model_name, request[3], request[4]))
             except ServiceError as exc:
-                results[position] = {"error": exc.message,
-                                     "status": exc.status}
-                continue
-            resolved.append((position, request, key, flag, target))
-        if not resolved:
-            return
-        try:
-            # one vectorised pass prices every target and reports each
-            # target's fallback share, so the kw coverage gate needs no
-            # per-item bind
-            times, shares = plan.evaluate_grid(
-                [target for *_, target in resolved])
-        except Exception as exc:  # repro: noqa[EX001]
-            # grid failure degrades to pricing each item on its own
-            # below; the label keeps the original exception type
-            self.metrics.increment(
-                f"batch_grid_errors_{type(exc).__name__}_total")
-            times = shares = None
-        computed: Dict[Tuple, Dict] = {}
-        for index, (position, request, key, flag, target) in enumerate(
-                resolved):
+                targets.append(exc)
+        resolved = {index: target for index, target in enumerate(targets)
+                    if not isinstance(target, Exception)}
+        priced: Dict[int, Tuple[float, float]] = {}
+        if resolved:
             try:
-                earlier = computed.get(key)
-                if earlier is not None:
-                    results[position] = dict(earlier, cached=True,
-                                             plan_cached=True)
-                    self.metrics.increment("batch_cache_hits_total")
-                    continue
-                vectorized = times is not None
-                total, share = ((times[index], shares[index]) if vectorized
-                                else plan.price(target))
-                outcome = self._igkw_outcome(plan, target, network_name,
-                                             batch_size, total, share,
-                                             vectorized)
-                response = self._response_for(entry, request, outcome)
-                self.cache.put(key, response)
-                computed[key] = response
-                results[position] = dict(response, cached=False,
-                                         plan_cached=flag)
-            except ServiceError as exc:
-                results[position] = {"error": exc.message,
-                                     "status": exc.status}
-            except Exception as exc:  # repro: noqa[EX001]
-                results[position] = {
-                    "error": f"internal error: {type(exc).__name__}: {exc}",
-                    "status": 500}
+                # one vectorised pass prices every target and reports
+                # each target's fallback share, so the kw coverage gate
+                # needs no per-item bind
+                priced = dict(zip(resolved, zip(*plan.evaluate_grid(
+                    list(resolved.values())))))
+            except Exception as exc:  # repro: noqa[EX001] repriced below
+                grid_failures.append(
+                    (exc, [position for position, *_ in group]))
+                if len(resolved) == 1:
+                    # a one-target grid would only run again: its
+                    # error is the item's answer
+                    targets[next(iter(resolved))] = exc
+
+        def outcome_of(index: int) -> PredictionOutcome:
+            target = targets[index]
+            if isinstance(target, Exception):
+                raise target
+            if index in priced:
+                total, share = priced[index]
+            else:
+                # the group's grid failed: a grid of this target alone,
+                # so one bad target fails only its own item
+                (total,), (share,) = plan.evaluate_grid([target])
+            return self._igkw_outcome(plan, target, network_name,
+                                      batch_size, total, share)
+        return outcome_of
 
     def feedback_observation(self, payload: Dict):
         """Validated FeedbackObservation for one /feedback body.

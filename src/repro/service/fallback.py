@@ -98,7 +98,7 @@ def kernel_chain(total_us: float, share: float,
 
     ``total_us`` and ``share`` are the plan's total and the fraction of
     it resting on layer-wise fallback layers, as already priced (by a
-    KernelPlan, ``RetargetablePlan.price`` or ``evaluate_grid``); the
+    KernelPlan or ``RetargetablePlan.evaluate_grid``); the
     kw tier answers with the total when the share passes the coverage
     gate. The LW tier evaluates ``lw_plan()``, the layer-wise plan of
     the same network, which the kernel-level plan lowers once and

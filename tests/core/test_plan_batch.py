@@ -1,11 +1,13 @@
 """Vectorised batch evaluation: bit-exact parity with scalar evaluate.
 
-``evaluate_many`` promises exact float equality with calling
-``evaluate`` once per target — the numpy path must replay the scalar
-accumulation order, clamp, and elementwise IEEE arithmetic. Parity is
-asserted for every zoo network and every model kind, including the
-retargetable plan across a bandwidth grid, plus the error and
-degenerate-input contracts.
+``evaluate_many`` promises exact float equality with the scalar
+reference: ``evaluate`` once per target on a single-GPU plan, and
+``bind(target).evaluate()`` on a retargetable plan, whose own
+``evaluate(gpu=)`` reads a one-target grid. The numpy path must replay
+the scalar accumulation order, clamp, and elementwise IEEE arithmetic.
+Parity is asserted for every zoo network and every model kind,
+including the retargetable plan across a bandwidth grid, plus the error
+and degenerate-input contracts.
 """
 
 from __future__ import annotations
@@ -50,14 +52,16 @@ def igkw_model(small_dataset):
 
 
 class TestZooBatchParity:
-    """evaluate_many == [evaluate per target] — exact, all zoo networks."""
+    """evaluate_many == [the scalar walk per target] — exact, all zoo
+    networks: ``bind(target).evaluate()`` for the retargetable plan,
+    ``evaluate()`` for single-GPU plans."""
 
     @pytest.mark.parametrize("name", zoo.model_names())
     def test_igkw_grid_bit_exact(self, igkw_model, name):
         plan = igkw_model.compile(zoo.build(name), PARITY_BS)
         targets = _grid()
         batch = plan.evaluate_many(targets)
-        assert batch == [plan.evaluate(gpu=t) for t in targets], name
+        assert batch == [plan.bind(t).evaluate() for t in targets], name
 
     @pytest.mark.parametrize("kind", ["e2e", "lw", "kw"])
     def test_single_gpu_kinds_broadcast(self, single_gpu_models, kind):
@@ -95,12 +99,15 @@ class TestGridSemantics:
         target = gpu("V100")
         times = plan.evaluate_many([target] * 5)
         assert len(set(times)) == 1
-        assert times[0] == plan.evaluate(gpu=target)
+        assert times[0] == plan.bind(target).evaluate()
 
     def test_lowering_is_cached(self, igkw_model):
-        # the scalar walk's lists are taken from the arrays once per plan
+        # the scalar walk's lists are taken from the arrays once per
+        # plan, and every bound plan shares them
         plan = igkw_model.compile(zoo.build("resnet18"), PARITY_BS)
-        plan.price(gpu("V100"))
+        bound = plan.bind(gpu("V100"))
+        bound.evaluate()
+        assert bound.arrays is plan.arrays
         assert plan.arrays.layer_terms is plan.arrays.layer_terms
 
 
@@ -112,8 +119,10 @@ class TestEvaluateGrid:
         targets = _grid()
         times, shares = plan.evaluate_grid(targets)
         assert times == plan.evaluate_many(targets)
-        for target, share in zip(targets, shares):
-            assert share == plan.bind(target).fallback_time_share(), name
+        for target, time_us, share in zip(targets, times, shares):
+            bound = plan.bind(target)
+            assert time_us == bound.evaluate(), (name, target.name)
+            assert share == bound.fallback_time_share(), (name, target.name)
 
     def test_targets_with_different_nearest_lw(self, igkw_model):
         # one grid over targets whose nearest training GPUs differ
@@ -125,7 +134,10 @@ class TestEvaluateGrid:
                    gpu("A100").with_bandwidth(2000.0)]
         assert len({id(plan._nearest_lw(t)) for t in targets}) == 2
         times, shares = plan.evaluate_grid(targets)
-        assert list(zip(times, shares)) == [plan.price(t) for t in targets]
+        # each column equals the target's own one-target grid
+        assert list(zip(times, shares)) == [
+            tuple(column[0] for column in plan.evaluate_grid([t]))
+            for t in targets]
         for target, time_us, share in zip(targets, times, shares):
             bound = plan.bind(target)
             assert time_us == bound.evaluate(), target.name
@@ -156,7 +168,6 @@ def _entry_points(plan, target):
     """Every way to price one target, each a zero-argument call."""
     return {"bind": lambda: plan.bind(target),
             "evaluate": lambda: plan.evaluate(gpu=target),
-            "price": lambda: plan.price(target),
             "evaluate_many": lambda: plan.evaluate_many([target]),
             "evaluate_grid": lambda: plan.evaluate_grid([target])}
 
@@ -200,7 +211,6 @@ class TestDriverMetricParity:
         errors = []
         for call in (lambda: plan.evaluate(gpu=bad),
                      lambda: plan.bind(bad),
-                     lambda: plan.price(bad),
                      lambda: plan.evaluate_many([gpu("A100"), bad]),
                      lambda: plan.evaluate_grid([bad])):
             with pytest.raises(ValueError) as info:

@@ -11,7 +11,7 @@ from repro.core.e2e import EndToEndModel
 from repro.core.intergpu import InterGPUKernelWiseModel
 from repro.core.kernelwise import KernelTablePredictor, KernelWiseModel
 from repro.core.layerwise import LayerWiseModel
-from repro.core.plan import RetargetablePlan
+from repro.core.plan import LayerSumPlan, RetargetablePlan
 from repro.service import (
     ModelRegistry,
     PredictionCache,
@@ -19,6 +19,7 @@ from repro.service import (
     build_plan_chain,
     resolve_target,
 )
+from repro.service.fallback import TierError
 from repro.service.server import BATCH_CAP, ServiceError
 
 
@@ -326,3 +327,107 @@ class TestIgkwMissPath:
         batch = service.predict_batch({"items": items[1:]})["results"]
         assert batch == expected[1:]
         assert calls == []
+
+
+def _exhaust_chain(monkeypatch, service):
+    """No tier answers a degraded request: the LW tier fails and no E2E
+    model is hosted."""
+    def evaluate(plan, gpu=None):
+        raise TierError("lw down")
+    monkeypatch.setattr(LayerSumPlan, "evaluate", evaluate)
+    monkeypatch.setattr(service.registry, "first_of_kind",
+                        lambda kind: None)
+
+
+def _break_plan_lookup(monkeypatch, service):
+    def plan_for(*args):
+        raise RuntimeError("plan store down")
+    monkeypatch.setattr(PredictionService, "_plan_for", plan_for)
+
+
+def _batch_counters(service):
+    return {name: value for name, value
+            in service.metrics.snapshot()["counters"].items()
+            if name.startswith("batch_")}
+
+
+class TestOneMissPath:
+    """/predict answers a miss through the /predict_batch group code:
+    the same status and message, and only /predict_batch moves the
+    batch counters."""
+
+    @pytest.mark.parametrize("item, status, fragment, setup", [
+        (_item(model="nope"), 404, "nope", None),
+        (_item(network="resnet9000"), 404, "resnet9000", None),
+        (_item(model="igkw", network="resnet18", gpu="V100",
+               bandwidth=float("inf")), 400, "bandwidth must be", None),
+        (_item(model="igkw", network="resnet18", gpu="TPUv9"), 404,
+         "TPUv9", None),
+        (_item(network="bert_small"), 422, "every fallback tier failed",
+         _exhaust_chain),
+        (_item(network="resnet18"), 500,
+         "internal error: RuntimeError: plan store down",
+         _break_plan_lookup),
+    ], ids=["unknown-model", "unknown-network", "inf-bandwidth",
+            "unknown-gpu", "exhausted-chain", "plan-lookup-raises"])
+    def test_predict_fails_like_its_batch_slot(self, live_server,
+                                               monkeypatch, item, status,
+                                               fragment, setup):
+        url, service = live_server
+        if setup is not None:
+            setup(monkeypatch, service)
+        batch_before = _batch_counters(service)
+        raised_before = service.metrics.counter(
+            "errors_predict_RuntimeError_total")
+
+        got, body = _post(url, "/predict", item)
+        assert (got, set(body)) == (status, {"error"})
+        assert fragment in body["error"]
+        assert _batch_counters(service) == batch_before
+        assert (service.metrics.counter("errors_predict_RuntimeError_total")
+                == raised_before + (status == 500))
+
+        # in process, /predict raises what the one-item batch slots
+        slot = service.predict_batch({"items": [dict(item)]})["results"][0]
+        assert slot == {"error": body["error"], "status": status}
+        with pytest.raises(Exception) as raised:
+            service.predict(dict(item))
+        assert PredictionService._error_slot(raised.value) == slot
+
+    def test_grid_failure_fails_predict_without_batch_counters(
+            self, live_server, monkeypatch):
+        url, service = live_server
+        widths = []
+
+        def evaluate_grid(plan, gpus):
+            widths.append(len(gpus))
+            raise FloatingPointError("grid down")
+        monkeypatch.setattr(RetargetablePlan, "evaluate_grid",
+                            evaluate_grid)
+        item = _item(model="igkw", network="resnet18", gpu="V100")
+        got, body = _post(url, "/predict", item)
+        assert got == 500
+        assert body["error"] == ("internal error: FloatingPointError: "
+                                 "grid down")
+        # a failed one-target grid is the answer, not run a second time
+        assert widths == [1]
+        assert service.metrics.counter(
+            "errors_predict_FloatingPointError_total") == 1
+        assert _batch_counters(service) == {}
+
+        # the same miss in a batch slots the error and counts the grid
+        got, body = _post(url, "/predict_batch", {"items": [item]})
+        assert got == 200
+        assert body["results"] == [{"error": "internal error: "
+                                    "FloatingPointError: grid down",
+                                    "status": 500}]
+        assert service.metrics.counter(
+            "batch_grid_errors_FloatingPointError_total") == 1
+        assert widths == [1, 1]
+
+        # a failed grid over two targets reprices each target alone
+        got, body = _post(url, "/predict_batch", {"items": [
+            _item(model="igkw", network="resnet18", gpu=name)
+            for name in ("A100", "TITAN RTX")]})
+        assert got == 200 and body["errors"] == 2
+        assert widths == [1, 1, 2, 1, 1]
